@@ -1,6 +1,6 @@
 // omg_perfbench — the open-loop serving benchmark.
 //
-//   omg_perfbench --workload <inproc_mixed|uds_av|overload_shed>
+//   omg_perfbench --workload <inproc_mixed|uds_av>
 //                 --seed <n> --seconds <s> --trace <0|1>
 //                 --config-dir <dir> --work-dir <dir>
 //

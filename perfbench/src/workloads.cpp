@@ -1,8 +1,8 @@
 #include "workloads.hpp"
 
-#include <malloc.h>
 #include <sched.h>
 #include <sys/prctl.h>
+#include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <functional>
@@ -60,14 +61,9 @@ struct WorkloadDef {
   /// fixed offset plus k batch intervals, whether or not the system kept
   /// up.
   std::vector<std::pair<std::string, double>> domain_rate_eps;
-  /// Distinct examples generated per stream; the schedule cycles through
-  /// them, so input generation and memory stay bounded at any run length.
-  std::size_t pool_examples;
   /// Inputs from common::MakeSyntheticExample instead of the model-backed
   /// scenario generators.
   bool synthetic;
-  /// Compare every stream's flags with the single-thread core reference.
-  bool check_digest;
 };
 
 const std::vector<WorkloadDef>& Workloads() {
@@ -81,32 +77,20 @@ const std::vector<WorkloadDef>& Workloads() {
        "inproc_mixed.conf",
        Transport::kInProcess,
        {{"video", 24000}, {"av", 8000}, {"ecg", 8000}, {"tvnews", 8000}},
-       8192,
-       false,
-       true},
+       false},
       // About a third of the single handler thread's ~800k ex/s knee.
       {"uds_av",
        "uds_av.conf",
        Transport::kUds,
        {{"av", 250000}},
-       8192,
-       true,
        true},
-      // Video (above the shed floor) at about a third of the shard's video
-      // capacity; ECG (below the floor) at more than twice what the shard
-      // can score, so the shard is always busy and admission sheds ECG.
-      // Runnable, but not listed in BENCHMARK.json: its goodput does not
-      // repeat from run to run (perfbench/NOTES.md).
-      {"overload_shed",
-       "overload_shed.conf",
-       Transport::kInProcess,
-       {{"video", 16000}, {"ecg", 1000000}},
-       8192,
-       false,
-       false},
   };
   return workloads;
 }
+
+/// Distinct examples generated per stream; the schedule cycles through
+/// them, so input generation and memory stay bounded at any run length.
+constexpr std::size_t kPoolExamples = 8192;
 
 std::uint64_t Mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -125,30 +109,28 @@ struct LatencySample {
 struct StreamPlan {
   omg::config::StreamSpec spec;
   double rate_eps = 0.0;
-  /// Hint at or above the admission floor: must always be scored.
-  bool above_floor = true;
   /// Batches offered in the timed window.
   std::size_t batches = 0;
-  /// Distinct examples, cycled in whole batches.
+  /// Distinct examples, cycled in whole batches. They exist only in the
+  /// preparing process (see Prepare).
   std::vector<AnyExample> pool;
-  /// The pool's batches as DATA payloads (wire workloads, and the decode
-  /// calibration of every workload).
+  /// The pool's batches as DATA payloads: what the generator offers.
   std::vector<std::vector<std::uint8_t>> frames;
+  const omg::net::PayloadCodec* codec = nullptr;
   /// Due time of each offered batch, nanoseconds after the first due time.
   std::vector<std::uint64_t> due_offset_ns;
-  /// The single-thread core reference over the offered sequence (or over
-  /// one pass of the pool when the workload checks no digest).
+  /// The single-thread core reference over the offered sequence.
   omg::config::SuiteSpec suite;
   FlagDigest reference;
   std::uint64_t reference_ns = 0;
   std::size_t reference_examples = 0;
-  /// The sink's latency buffer for this stream, sized and touched before
-  /// the peak-RSS reset so serve_rss_mb counts only the program's memory.
+  /// The sink's latency samples for this stream (every kLatencyStride-th
+  /// event), sized and touched before the peak-RSS reset.
   std::vector<LatencySample> latency;
 
   std::size_t batch() const { return spec.batch; }
   std::size_t length() const { return batches * spec.batch; }
-  std::size_t pool_batches() const { return pool.size() / spec.batch; }
+  std::size_t pool_batches() const { return frames.size(); }
   std::size_t PoolOffset(std::size_t k) const {
     return (k % pool_batches()) * spec.batch;
   }
@@ -161,8 +143,16 @@ struct Slot {
   std::uint32_t batch;
 };
 
-/// Set-ups per pass; setup_s is their median.
-constexpr std::size_t kSetups = 201;
+/// Set-ups are timed in kSetupProcesses forked copies of the benchmark
+/// process, half before serving and half after, kSetups back to back in
+/// each; setup_s is the fastest. A set-up takes a fraction of a
+/// millisecond, so a stolen or preempted processor inflates whole runs of
+/// them, and the fastest is the set-up's own cost. But a burst of set-ups
+/// in one process tends to run entirely fast or entirely slow (by up to
+/// half); bursts in separate copies do not share that, so the fastest of
+/// several is steadier (perfbench/NOTES.md).
+constexpr std::size_t kSetupProcesses = 8;
+constexpr std::size_t kSetups = 50;
 
 /// Flag latencies are grouped into windows of this many nanoseconds of the
 /// schedule, and the time stolen from the benchmark's processors is read
@@ -172,6 +162,11 @@ constexpr std::uint64_t kLatencyWindowNs = 20'000'000ULL;
 /// Quantiles use only unstolen windows when at least this share of the
 /// windows is unstolen.
 constexpr double kMinUnstolenShare = 0.1;
+/// Every this many events of a stream, one has its latency recorded. An
+/// event's latency says nothing about its rank in the stream, so the
+/// subsample keeps the distribution; it keeps the buffer, which is resident
+/// through serving, to an eighth of the flag count.
+constexpr std::size_t kLatencyStride = 8;
 
 /// Processors this process may run on, ascending.
 std::vector<int> AllowedCpus() {
@@ -200,7 +195,7 @@ void GenerateInputs(const WorkloadDef& def,
                     std::uint64_t seed, std::vector<StreamPlan>& plans) {
   omg::config::ScenarioSpec seeded = scenario;
   for (std::size_t i = 0; i < seeded.streams.size(); ++i) {
-    seeded.streams[i].examples = def.pool_examples;
+    seeded.streams[i].examples = kPoolExamples;
     seeded.streams[i].seed = Mix(seed ^ Mix(scenario.streams[i].seed + i));
   }
   omg::common::TrafficMap traffic;
@@ -228,8 +223,8 @@ void GenerateInputs(const WorkloadDef& def,
     StreamPlan& plan = plans[i];
     if (def.synthetic) {
       omg::common::Rng rng(seeded.streams[i].seed);
-      plan.pool.reserve(def.pool_examples);
-      for (std::size_t j = 0; j < def.pool_examples; ++j) {
+      plan.pool.reserve(kPoolExamples);
+      for (std::size_t j = 0; j < kPoolExamples; ++j) {
         const auto index =
             static_cast<std::size_t>(rng.UniformInt(0, 1 << 30));
         plan.pool.push_back(
@@ -239,7 +234,7 @@ void GenerateInputs(const WorkloadDef& def,
     } else {
       plan.pool = std::move(traffic.at(plan.spec.name));
     }
-    plan.pool.resize(std::min(plan.pool.size(), def.pool_examples) /
+    plan.pool.resize(std::min(plan.pool.size(), kPoolExamples) /
                      plan.batch() * plan.batch());
     if (plan.pool.empty()) {
       throw std::runtime_error("stream " + plan.spec.name +
@@ -248,18 +243,13 @@ void GenerateInputs(const WorkloadDef& def,
   }
 }
 
-void EncodeFrames(const omg::serve::DomainRegistry& domains,
-                  std::vector<StreamPlan>& plans) {
+void EncodeFrames(std::vector<StreamPlan>& plans) {
   for (StreamPlan& plan : plans) {
-    const omg::net::PayloadCodec* codec = domains.CodecFor(plan.spec.domain);
-    if (codec == nullptr) {
-      throw std::runtime_error("no wire codec for domain " +
-                               plan.spec.domain);
-    }
-    for (std::size_t k = 0; k < plan.pool_batches(); ++k) {
+    for (std::size_t first = 0; first < plan.pool.size();
+         first += plan.batch()) {
       plan.frames.push_back(omg::net::EncodeBatch(
-          *codec, std::span<const AnyExample>(
-                      plan.pool.data() + k * plan.batch(), plan.batch())));
+          *plan.codec, std::span<const AnyExample>(plan.pool.data() + first,
+                                                   plan.batch())));
     }
   }
 }
@@ -267,8 +257,6 @@ void EncodeFrames(const omg::serve::DomainRegistry& domains,
 /// Paced arrivals: each stream sends a batch every batch/rate seconds.
 /// The streams of one domain share a rate and are spread evenly over the
 /// interval; domains are offset from each other by a fraction of a slot.
-/// (Uneven gaps would decide which of two below-floor streams wins a freed
-/// queue slot, and with it how the shard's time splits between them.)
 std::vector<Slot> BuildSchedule(std::vector<StreamPlan>& plans,
                                 const std::vector<std::string>& domains,
                                 double seconds) {
@@ -379,8 +367,8 @@ void ReferenceFor(StreamPlan& plan, std::size_t window,
 /// thread at a time; each reference itself is single-threaded.
 std::vector<SpanLog> RunReferences(std::vector<StreamPlan>& plans,
                                    const omg::config::RuntimeSpec& runtime,
-                                   bool full_sequence, std::size_t threads,
-                                   bool trace, std::uint64_t run_id) {
+                                   std::size_t threads, bool trace,
+                                   std::uint64_t run_id) {
   std::atomic<std::size_t> next{0};
   std::vector<SpanLog> logs;
   for (std::size_t t = 0; t < threads; ++t) logs.emplace_back(trace, run_id);
@@ -392,8 +380,7 @@ std::vector<SpanLog> RunReferences(std::vector<StreamPlan>& plans,
         for (std::size_t i = next++; i < plans.size(); i = next++) {
           StreamPlan& plan = plans[i];
           ReferenceFor(plan, runtime.window, runtime.settle_lag,
-                       full_sequence ? plan.batches : plan.pool_batches(),
-                       logs[t]);
+                       plan.batches, logs[t]);
         }
       } catch (...) {
         failures[t] = std::current_exception();
@@ -407,19 +394,206 @@ std::vector<SpanLog> RunReferences(std::vector<StreamPlan>& plans,
   return logs;
 }
 
+// ------------------------------------------------------------ prepare ---
+
+void PutBytes(std::string& out, const void* data, std::size_t size) {
+  out.append(static_cast<const char*>(data), size);
+}
+
+template <typename T>
+void Put(std::string& out, T value) {
+  PutBytes(out, &value, sizeof(value));
+}
+
+/// Reads back what PutBytes/Put wrote.
+class Reader {
+ public:
+  explicit Reader(std::string_view in) : in_(in) {}
+
+  void Bytes(void* data, std::size_t size) {
+    if (size > in_.size() - pos_) {
+      throw std::runtime_error("truncated data from the preparing process");
+    }
+    std::memcpy(data, in_.data() + pos_, size);
+    pos_ += size;
+  }
+
+  template <typename T>
+  T Get() {
+    T value{};
+    Bytes(&value, sizeof(value));
+    return value;
+  }
+
+ private:
+  std::string_view in_;
+  std::size_t pos_ = 0;
+};
+
+/// What serving needs from the preparing process: per plan its frames and
+/// the reference's digest and timing, then the reference's spans.
+std::string SerializePrepared(const std::vector<StreamPlan>& plans,
+                              const std::vector<SpanLog>& logs) {
+  std::string out;
+  for (const StreamPlan& plan : plans) {
+    Put<std::uint64_t>(out, plan.frames.size());
+    for (const std::vector<std::uint8_t>& frame : plan.frames) {
+      Put<std::uint64_t>(out, frame.size());
+      PutBytes(out, frame.data(), frame.size());
+    }
+    Put<std::uint64_t>(out, plan.reference.hash);
+    Put<std::uint64_t>(out, plan.reference.count);
+    Put<std::uint64_t>(out, plan.reference_ns);
+    Put<std::uint64_t>(out, plan.reference_examples);
+  }
+  Put<std::uint64_t>(out, logs.size());
+  for (const SpanLog& log : logs) {
+    Put<std::uint64_t>(out, log.spans().size());
+    for (const Span& span : log.spans()) {
+      Put<std::uint64_t>(out, span.start_ns);
+      Put<std::uint64_t>(out, span.end_ns);
+      Put<std::int64_t>(out, span.batch_id);
+    }
+  }
+  return out;
+}
+
+std::vector<SpanLog> DeserializePrepared(std::string_view in, bool trace,
+                                         std::uint64_t run_id,
+                                         std::vector<StreamPlan>& plans) {
+  Reader reader(in);
+  for (StreamPlan& plan : plans) {
+    plan.frames.resize(reader.Get<std::uint64_t>());
+    for (std::vector<std::uint8_t>& frame : plan.frames) {
+      frame.resize(reader.Get<std::uint64_t>());
+      reader.Bytes(frame.data(), frame.size());
+    }
+    plan.reference.hash = reader.Get<std::uint64_t>();
+    plan.reference.count = reader.Get<std::uint64_t>();
+    plan.reference_ns = reader.Get<std::uint64_t>();
+    plan.reference_examples = reader.Get<std::uint64_t>();
+  }
+  std::vector<SpanLog> logs(reader.Get<std::uint64_t>(),
+                            SpanLog(trace, run_id));
+  for (SpanLog& log : logs) {
+    const auto spans = reader.Get<std::uint64_t>();
+    for (std::uint64_t i = 0; i < spans; ++i) {
+      const auto start = reader.Get<std::uint64_t>();
+      const auto end = reader.Get<std::uint64_t>();
+      log.Add("core.score", start, end, reader.Get<std::int64_t>());
+    }
+  }
+  return logs;
+}
+
+void WriteAll(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t wrote = write(fd, data.data(), data.size());
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) return;
+    data.remove_prefix(static_cast<std::size_t>(wrote));
+  }
+}
+
+/// Reads `size` bytes, or fewer if the writer closed early.
+std::string ReadAll(int fd, std::size_t size) {
+  std::string data(size, '\0');
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t read_now = read(fd, data.data() + got, size - got);
+    if (read_now < 0 && errno == EINTR) continue;
+    if (read_now <= 0) break;
+    got += static_cast<std::size_t>(read_now);
+  }
+  data.resize(got);
+  return data;
+}
+
+/// Runs `work` in a forked copy of this process, which must have no other
+/// threads, waits for the copy to exit, and returns what `work` returned.
+/// An exception in the copy is rethrown here with its message.
+std::string RunInChild(const std::function<std::string()>& work) {
+  int fds[2];
+  if (pipe(fds) != 0) throw std::runtime_error("pipe() failed");
+  std::fflush(nullptr);
+  const pid_t child = fork();
+  if (child < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    throw std::runtime_error("fork() failed");
+  }
+  if (child == 0) {
+    close(fds[0]);
+    char status = 0;
+    std::string payload;
+    try {
+      payload = work();
+    } catch (const std::exception& error) {
+      status = 1;
+      payload = error.what();
+    } catch (...) {
+      status = 1;
+      payload = "unknown error";
+    }
+    std::string header(1, status);
+    Put<std::uint64_t>(header, payload.size());
+    WriteAll(fds[1], header);
+    WriteAll(fds[1], payload);
+    close(fds[1]);
+    _exit(0);
+  }
+  close(fds[1]);
+  const std::string header = ReadAll(fds[0], 1 + sizeof(std::uint64_t));
+  std::string payload;
+  if (header.size() == 1 + sizeof(std::uint64_t)) {
+    std::uint64_t size = 0;
+    std::memcpy(&size, header.data() + 1, sizeof(size));
+    payload = ReadAll(fds[0], size);
+  }
+  close(fds[0]);
+  int wait_status = 0;
+  while (waitpid(child, &wait_status, 0) < 0 && errno == EINTR) {
+  }
+  if (header.size() != 1 + sizeof(std::uint64_t) ||
+      !WIFEXITED(wait_status) || WEXITSTATUS(wait_status) != 0) {
+    throw std::runtime_error("a child process of the benchmark failed");
+  }
+  if (header[0] != 0) throw std::runtime_error(payload);
+  return payload;
+}
+
+/// Generates the inputs, encodes them as frames and runs the reference in
+/// a child process, which sends back only the frames and the reference's
+/// digest and timing. The serving process's heap then holds no memory that
+/// input generation or the reference freed: the allocator would hand that
+/// memory, already resident, to the program, and the peak-RSS counter would
+/// not see the program's growth. Returns the reference's span logs.
+std::vector<SpanLog> Prepare(const WorkloadDef& def,
+                             const omg::config::ScenarioSpec& scenario,
+                             std::uint64_t seed, std::size_t threads,
+                             bool trace, std::uint64_t run_id,
+                             std::vector<StreamPlan>& plans) {
+  const std::string payload = RunInChild([&] {
+    GenerateInputs(def, scenario, seed, plans);
+    EncodeFrames(plans);
+    return SerializePrepared(
+        plans,
+        RunReferences(plans, scenario.runtime, threads, trace, run_id));
+  });
+  return DeserializePrepared(payload, trace, run_id, plans);
+}
+
 // --------------------------------------------------------------- sink ---
 
-/// The benchmark's subscribed sink: per-stream flag digest and, for
-/// above-floor streams, the flag latency of every event. Shard workers
+/// The benchmark's subscribed sink: per-stream flag digest and the flag
+/// latency of every kLatencyStride-th event. Shard workers
 /// deliver one stream's events serially (never concurrently), so each
 /// stream's slot is written by one thread at a time; slots are
 /// cache-line aligned so streams on different shards do not false-share.
 class BenchSink final : public omg::runtime::EventSink {
  public:
   struct alignas(64) Stream {
-    const StreamPlan* plan = nullptr;
-    /// Null for streams whose latency is not tracked (below the floor).
-    std::vector<LatencySample>* latency = nullptr;
+    StreamPlan* plan = nullptr;
     FlagDigest digest;
   };
 
@@ -440,18 +614,18 @@ class BenchSink final : public omg::runtime::EventSink {
     }
     Stream& stream = streams_[event.stream_id];
     stream.digest.Add(event.example_index, event.assertion, event.severity);
-    if (stream.latency == nullptr) return;
-    const StreamPlan& plan = *stream.plan;
+    StreamPlan& plan = *stream.plan;
     const std::size_t trigger = TriggerBatch(
         event.example_index, settle_lag_, plan.length(), plan.batch());
     if (trigger >= plan.due_offset_ns.size()) {
       unknown_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    if ((stream.digest.count - 1) % kLatencyStride != 0) return;
     const std::uint64_t offset = plan.due_offset_ns[trigger];
     const std::uint64_t due =
         t0_ns_.load(std::memory_order_acquire) + offset;
-    stream.latency->push_back(
+    plan.latency.push_back(
         {now > due ? static_cast<float>(static_cast<double>(now - due) / 1e6)
                    : 0.0f,
          static_cast<std::uint32_t>(offset / kLatencyWindowNs)});
@@ -493,15 +667,22 @@ T Unwrap(omg::serve::Result<T> result, const std::string& what) {
   return std::move(result.value());
 }
 
+/// Wall times of one set-up and of its config steps, in seconds.
+struct SetupTimes {
+  double total = 0.0;
+  double load = 0.0;
+  double build = 0.0;
+};
+
 /// Config load + monitor build + stream registration + Subscribe, and on
 /// wire workloads IngestServer::Start + connect/HELLO/BIND. Returns the
-/// hosted monitor; `seconds` receives the set-up wall time.
+/// hosted monitor; `times` receives the set-up's wall times.
 std::unique_ptr<Hosted> SetUp(const WorkloadDef& def,
                               const std::string& config_path,
                               const std::string& socket_path,
                               const omg::serve::DomainRegistry& domains,
                               std::vector<StreamPlan>& plans, SpanLog& log,
-                              double& seconds) {
+                              SetupTimes& times) {
   const std::uint64_t start = NowNs();
   const std::int64_t setup_span = log.Begin("setup");
   auto hosted = std::make_unique<Hosted>();
@@ -510,10 +691,12 @@ std::unique_ptr<Hosted> SetUp(const WorkloadDef& def,
   const omg::config::ScenarioSpec spec =
       omg::config::ConfigLoader::LoadFile(config_path);
   log.End(span);
+  const std::uint64_t loaded = NowNs();
 
   span = log.Begin("config.build");
   hosted->scenario = omg::config::BuildScenarioMonitor(spec, domains);
   log.End(span);
+  const std::uint64_t built = NowNs();
 
   span = log.Begin("serve.subscribe");
   std::vector<BenchSink::Stream> slots;
@@ -525,10 +708,7 @@ std::unique_ptr<Hosted> SetUp(const WorkloadDef& def,
       const std::size_t id = bound.handle.id();
       if (slots.size() <= id) slots.resize(id + 1);
       slots[id].plan = &plans[i];
-      if (plans[i].above_floor) {
-        plans[i].latency.clear();
-        slots[id].latency = &plans[i].latency;
-      }
+      plans[i].latency.clear();
     }
   }
   hosted->sink = std::make_shared<BenchSink>(spec.runtime.settle_lag,
@@ -563,15 +743,20 @@ std::unique_ptr<Hosted> SetUp(const WorkloadDef& def,
     log.End(span);
   }
   log.End(setup_span);
-  seconds = static_cast<double>(NowNs() - start) / 1e9;
+  times.total = static_cast<double>(NowNs() - start) / 1e9;
+  times.load = static_cast<double>(loaded - start) / 1e9;
+  times.build = static_cast<double>(built - loaded) / 1e9;
   return hosted;
 }
 
 // ---------------------------------------------------------- generator ---
 
 struct GeneratorResult {
+  /// CPU the generator thread spent outside calls into the system under
+  /// test: pacing, decoding or sending frames.
   std::uint64_t cpu_ns = 0;
-  std::vector<double> lag_ms;
+  /// How late each batch was offered; capacity reserved by the caller.
+  std::vector<double>* lag_ms = nullptr;
   std::vector<std::uint64_t> offered_per_plan;
   std::uint64_t offered = 0;
   std::vector<std::string> errors;
@@ -589,8 +774,10 @@ void SleepUntil(std::uint64_t due_ns) {
 
 /// The open-loop load generator: offers every scheduled batch at its due
 /// time (late if the previous call blocked, never skipped). In-process
-/// workloads copy the batch out of the pool before waiting, so the copy is
-/// not in the measured latency; wire workloads send pre-encoded frames.
+/// workloads decode the batch's frame before waiting, so the decode is
+/// not in the measured latency; wire workloads send the frame.
+/// In process, Monitor::ObserveBatch runs on this thread; the CPU it takes
+/// is the program's, so it is left out of `result.cpu_ns`.
 void Generate(const WorkloadDef& def, const std::vector<Slot>& schedule,
               const std::vector<StreamPlan>& plans, Hosted& hosted,
               std::uint64_t t0_ns, int generator_cpu,
@@ -598,7 +785,8 @@ void Generate(const WorkloadDef& def, const std::vector<Slot>& schedule,
   prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   PinTo({generator_cpu});
   const std::uint64_t cpu_start = ThreadCpuNs();
-  result.lag_ms.reserve(schedule.size());
+  std::uint64_t observe_cpu_ns = 0;
+  result.lag_ms->clear();
   result.offered_per_plan.assign(plans.size(), 0);
   omg::serve::Monitor& monitor = *hosted.scenario.monitor;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -606,24 +794,28 @@ void Generate(const WorkloadDef& def, const std::vector<Slot>& schedule,
     const StreamPlan& plan = plans[slot.stream];
     const auto batch_id = static_cast<std::int64_t>(i);
     const std::uint64_t due = t0_ns + slot.due_offset_ns;
+    const std::vector<std::uint8_t>& frame =
+        plan.frames[plan.PoolOffset(slot.batch) / plan.batch()];
     if (def.transport == Transport::kInProcess) {
-      const auto first =
-          plan.pool.begin() +
-          static_cast<std::ptrdiff_t>(plan.PoolOffset(slot.batch));
-      std::vector<AnyExample> batch(
-          first, first + static_cast<std::ptrdiff_t>(plan.batch()));
+      auto decoded = omg::net::DecodeBatch(
+          *plan.codec, frame, static_cast<std::uint32_t>(plan.batch()));
+      if (!decoded.ok()) {
+        throw std::runtime_error("DecodeBatch failed on a benchmark frame: " +
+                                 decoded.error().message);
+      }
+      std::vector<AnyExample> batch = std::move(decoded.value());
       SleepUntil(due);
       const std::uint64_t start = NowNs();
+      const std::uint64_t cpu_before = ThreadCpuNs();
       const auto outcome =
           monitor.ObserveBatch(hosted.handles[slot.stream], std::move(batch));
+      observe_cpu_ns += ThreadCpuNs() - cpu_before;
       const std::uint64_t end = NowNs();
       result.log.Add("serve.observe_batch", start, end, batch_id);
-      result.lag_ms.push_back(
+      result.lag_ms->push_back(
           start > due ? static_cast<double>(start - due) / 1e6 : 0.0);
       if (!outcome.ok()) result.errors.push_back(outcome.error().message);
     } else {
-      const std::vector<std::uint8_t>& frame =
-          plan.frames[plan.PoolOffset(slot.batch) / plan.batch()];
       SleepUntil(due);
       const std::uint64_t start = NowNs();
       const auto sent = hosted.client.SendEncoded(
@@ -632,21 +824,21 @@ void Generate(const WorkloadDef& def, const std::vector<Slot>& schedule,
           plan.spec.severity_hint);
       const std::uint64_t end = NowNs();
       result.log.Add("net.send", start, end, batch_id);
-      result.lag_ms.push_back(
+      result.lag_ms->push_back(
           start > due ? static_cast<double>(start - due) / 1e6 : 0.0);
       if (!sent.ok()) result.errors.push_back(sent.error().message);
     }
     result.offered_per_plan[slot.stream] += plan.batch();
     result.offered += plan.batch();
   }
-  result.cpu_ns = ThreadCpuNs() - cpu_start;
+  result.cpu_ns = ThreadCpuNs() - cpu_start - observe_cpu_ns;
 }
 
 // --------------------------------------------------------------- pass ---
 
 /// What one serving pass measured.
 struct Pass {
-  std::vector<double> setup_s;
+  std::vector<SetupTimes> setups;
   double window_s = 0.0;
   std::uint64_t offered = 0;
   std::uint64_t scored = 0;
@@ -659,7 +851,7 @@ struct Pass {
   std::uint64_t priority_offered = 0;
   std::uint64_t priority_scored = 0;
   std::uint64_t failed = 0;
-  /// Flag latencies of above-floor streams, per schedule window.
+  /// Sampled flag latencies, per schedule window.
   std::vector<std::vector<double>> latency_windows;
   /// Time stolen from the benchmark's processors in each window.
   std::vector<double> window_steal_ms;
@@ -682,7 +874,30 @@ struct Context {
   const std::vector<Slot>* schedule = nullptr;
   /// Every processor the benchmark runs on; the generator's is the last.
   std::vector<int> cpus;
+  /// The generator's lateness per batch, reserved before the peak-RSS
+  /// reset.
+  std::vector<double>* lag_ms = nullptr;
 };
+
+/// Times kSetups set-ups, back to back, in a forked copy of this process.
+std::vector<SetupTimes> TimeSetUpsInChild(const Context& ctx) {
+  const std::string payload = RunInChild([&] {
+    std::vector<SetupTimes> times(kSetups);
+    SpanLog untraced(false, 0);
+    std::unique_ptr<Hosted> hosted;
+    for (SetupTimes& one : times) {
+      hosted.reset();  // the previous set-up's teardown is not timed
+      hosted = SetUp(*ctx.def, ctx.config_path, ctx.socket_path,
+                     *ctx.domains, *ctx.plans, untraced, one);
+    }
+    hosted.reset();
+    return std::string(reinterpret_cast<const char*>(times.data()),
+                       times.size() * sizeof(SetupTimes));
+  });
+  std::vector<SetupTimes> times(payload.size() / sizeof(SetupTimes));
+  std::memcpy(times.data(), payload.data(), times.size() * sizeof(SetupTimes));
+  return times;
+}
 
 Pass Serve(const Context& ctx, bool traced, std::uint64_t run_id) {
   Pass pass;
@@ -690,14 +905,18 @@ Pass Serve(const Context& ctx, bool traced, std::uint64_t run_id) {
   std::vector<StreamPlan>& plans = *ctx.plans;
 
   pass.rss_baseline_mb = CurrentRssMb();
-  std::unique_ptr<Hosted> hosted;
-  for (std::size_t i = 0; i < kSetups; ++i) {
-    hosted.reset();  // the previous set-up's teardown is not timed
-    double seconds = 0.0;
-    hosted = SetUp(*ctx.def, ctx.config_path, ctx.socket_path, *ctx.domains,
-                   plans, main_log, seconds);
-    pass.setup_s.push_back(seconds);
-  }
+  auto time_set_ups = [&] {
+    for (std::size_t i = 0; i < kSetupProcesses / 2; ++i) {
+      const std::vector<SetupTimes> times = TimeSetUpsInChild(ctx);
+      pass.setups.insert(pass.setups.end(), times.begin(), times.end());
+    }
+  };
+  time_set_ups();
+  // The set-up that serves, timed like the others.
+  pass.setups.emplace_back();
+  std::unique_ptr<Hosted> hosted =
+      SetUp(*ctx.def, ctx.config_path, ctx.socket_path, *ctx.domains, plans,
+            main_log, pass.setups.back());
 
   // The first batch is due shortly after set-up ends, so the generator
   // starts on schedule rather than already late.
@@ -706,6 +925,7 @@ Pass Serve(const Context& ctx, bool traced, std::uint64_t run_id) {
   const std::uint64_t cpu_before = ProcessCpuNs();
   const std::vector<double> steal_before = StealMsPerCpu();
   GeneratorResult generated;
+  generated.lag_ms = ctx.lag_ms;
   generated.log = SpanLog(traced, run_id);
   std::exception_ptr generator_failure;
   std::thread generator([&] {
@@ -750,7 +970,7 @@ Pass Serve(const Context& ctx, bool traced, std::uint64_t run_id) {
       static_cast<double>(ServingCpuNs(cpu_before, cpu_after,
                                        generated.cpu_ns + sampler_cpu)) /
       1e3 / static_cast<double>(std::max<std::uint64_t>(1, pass.offered));
-  pass.gen_lag_ms = QuantileOf(generated.lag_ms, 0.99);
+  pass.gen_lag_ms = QuantileOf(*generated.lag_ms, 0.99);
   for (const std::string& error : generated.errors) {
     pass.problems.push_back("offer failed: " + error);
     if (pass.problems.size() > 8) break;
@@ -799,30 +1019,25 @@ Pass Serve(const Context& ctx, bool traced, std::uint64_t run_id) {
         std::to_string(pass.errored));
   }
 
-  // Per-stream checks: above-floor streams fully scored; flags equal to
-  // the single-thread reference where the workload checks digests.
-  bool below_floor_present = false;
+  // Per-stream checks: every stream fully scored (block admission sheds
+  // nothing, so every stream is above the floor), and its flags equal to
+  // the single-thread reference.
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const StreamPlan& plan = plans[i];
     const std::size_t id = hosted->handles[i].id();
     const std::uint64_t offered = generated.offered_per_plan[i];
     const std::uint64_t scored =
         id < snapshot.streams.size() ? snapshot.streams[id].examples_seen : 0;
-    if (!plan.above_floor) {
-      below_floor_present = true;
-      continue;
-    }
     pass.priority_offered += offered;
     pass.priority_scored += scored;
     pass.failed += offered > scored ? offered - scored : 0;
     if (scored != offered) {
       pass.problems.push_back("stream " + plan.spec.name + ": scored " +
                               std::to_string(scored) + " of " +
-                              std::to_string(offered) +
-                              " above-floor examples");
+                              std::to_string(offered) + " examples");
     }
     const BenchSink::Stream& slot = hosted->sink->streams()[id];
-    if (ctx.def->check_digest && !(slot.digest == plan.reference)) {
+    if (!(slot.digest == plan.reference)) {
       pass.problems.push_back(
           "stream " + plan.spec.name + ": flags differ from the core "
           "reference (" + std::to_string(slot.digest.count) + " vs " +
@@ -835,15 +1050,16 @@ Pass Serve(const Context& ctx, bool traced, std::uint64_t run_id) {
       pass.latency_windows[sample.window].push_back(sample.ms);
     }
   }
-  // Above-floor streams count every unscored example. Below-floor streams
-  // may be shed or dropped by policy, so only errors and wire losses count.
-  if (below_floor_present) {
-    pass.failed += pass.errored + pass.quota_rejected + pass.decode_errors;
-  }
   if (hosted->sink->unknown() != 0) {
     pass.problems.push_back(std::to_string(hosted->sink->unknown()) +
                             " events from unknown streams or batches");
   }
+
+  // The other half of the set-up copies run a run length later, since the
+  // host's speed drifts over seconds. Forking needs this process to have
+  // no other threads, so the monitor and its server stop first.
+  hosted.reset();
+  time_set_ups();
 
   pass.logs.push_back(std::move(main_log));
   pass.logs.push_back(std::move(generated.log));
@@ -854,6 +1070,16 @@ Pass Serve(const Context& ctx, bool traced, std::uint64_t run_id) {
 
 double Ratio(double numerator, double denominator) {
   return denominator > 0.0 ? numerator / denominator : 0.0;
+}
+
+/// The fastest set-up's `field` (SetupTimes::total, ::load or ::build).
+double Fastest(const std::vector<SetupTimes>& setups,
+               double SetupTimes::*field) {
+  double fastest = 0.0;
+  for (const SetupTimes& setup : setups) {
+    if (fastest == 0.0 || setup.*field < fastest) fastest = setup.*field;
+  }
+  return fastest;
 }
 
 std::vector<double> Scaled(std::vector<double> values, double scale) {
@@ -895,18 +1121,16 @@ void EndToEnd(const Pass& pass, std::vector<Metric>& out) {
                  "ratio"});
   out.push_back({"cpu_us_per_example", pass.cpu_us_per_example, "us"});
   out.push_back({"serve_rss_mb", pass.rss_peak_mb, "MiB"});
-  out.push_back({"setup_s", Median(pass.setup_s), "s"});
+  out.push_back({"setup_s", Fastest(pass.setups, &SetupTimes::total), "s"});
 }
 
 /// Single-thread DecodeBatch over the workload's pre-encoded frames.
-double DecodeNsPerExample(const omg::serve::DomainRegistry& domains,
-                          const std::vector<StreamPlan>& plans,
+double DecodeNsPerExample(const std::vector<StreamPlan>& plans,
                           SpanLog& log) {
   std::uint64_t total_ns = 0;
   std::size_t examples = 0;
   for (const StreamPlan& plan : plans) {
-    const omg::net::PayloadCodec& codec =
-        *domains.CodecFor(plan.spec.domain);
+    const omg::net::PayloadCodec& codec = *plan.codec;
     for (std::size_t k = 0; k < plan.frames.size(); ++k) {
       const std::uint64_t start = NowNs();
       const auto decoded = omg::net::DecodeBatch(
@@ -941,11 +1165,11 @@ void PerLayer(const Context& ctx, const Pass& untraced, const Pass& traced,
                  FlagLatency(traced, 0.99, clean_only, clean_windows).value,
                  "ms"});
 
+  // The fastest of the set-ups, as setup_s.
   out.push_back({"config.load_ms",
-                 Median(NamedSpans(traced.logs, "config.load")) / 1e6, "ms"});
+                 Fastest(traced.setups, &SetupTimes::load) * 1e3, "ms"});
   out.push_back({"config.build_ms",
-                 Median(NamedSpans(traced.logs, "config.build")) / 1e6,
-                 "ms"});
+                 Fastest(traced.setups, &SetupTimes::build) * 1e3, "ms"});
 
   out.push_back({"net.decode_ns_per_example", decode_ns_per_example, "ns"});
   out.push_back({"net.send_us.p99",
@@ -1135,15 +1359,18 @@ RunResult RunWorkload(const RunOptions& options) {
     throw std::runtime_error("cannot set the process's processor affinity");
   }
 
+  const omg::serve::DomainRegistry domains =
+      omg::serve::MakeDefaultDomainRegistry();
   std::vector<StreamPlan> plans(scenario.streams.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
     StreamPlan& plan = plans[i];
     plan.spec = scenario.streams[i];
     plan.suite = *scenario.SuiteFor(plan.spec.domain);
-    plan.above_floor =
-        scenario.admission.policy !=
-            omg::runtime::AdmissionPolicy::kShedBelowSeverity ||
-        plan.spec.severity_hint >= scenario.admission.shed_floor;
+    plan.codec = domains.CodecFor(plan.spec.domain);
+    if (plan.codec == nullptr) {
+      throw std::runtime_error("no wire codec for domain " +
+                               plan.spec.domain);
+    }
     std::size_t domain_streams = 0;
     for (const auto& stream : scenario.streams) {
       if (stream.domain == plan.spec.domain) ++domain_streams;
@@ -1159,23 +1386,14 @@ RunResult RunWorkload(const RunOptions& options) {
     }
   }
 
-  // Inputs, schedule and reference are built once, before any set-up.
-  const omg::serve::DomainRegistry domains =
-      omg::serve::MakeDefaultDomainRegistry();
-  GenerateInputs(*def, scenario, options.seed, plans);
-  // Frames are what wire workloads send, and what the traced run's decode
-  // calibration decodes; untraced in-process runs need none.
-  if (def->transport == Transport::kUds || options.trace) {
-    EncodeFrames(domains, plans);
-  }
+  // Schedule, inputs and reference are built once, before any set-up.
   const std::vector<Slot> schedule =
       BuildSchedule(plans, scenario.Domains(), options.seconds);
   const std::uint64_t run_id =
       Mix(options.seed ^ std::hash<std::string_view>{}(def->name));
-  const std::vector<SpanLog> reference_logs = RunReferences(
-      plans, scenario.runtime, def->check_digest,
-      std::min(allowed.size() - 1, plans.size()),
-      options.trace, run_id);
+  const std::vector<SpanLog> reference_logs = Prepare(
+      *def, scenario, options.seed, std::min(allowed.size() - 1, plans.size()),
+      options.trace, run_id, plans);
 
   Context ctx;
   ctx.def = def;
@@ -1187,17 +1405,18 @@ RunResult RunWorkload(const RunOptions& options) {
   ctx.schedule = &schedule;
   ctx.cpus = allowed;
 
+  // The benchmark's own result buffers are sized and touched now, so they
+  // are part of the RSS baseline below, not of the serving growth.
   for (StreamPlan& plan : plans) {
-    if (!plan.above_floor) continue;
-    plan.latency.resize(def->check_digest ? plan.reference.count
-                                          : plan.length());
+    plan.latency.resize((plan.reference.count + kLatencyStride - 1) /
+                        kLatencyStride);
   }
+  std::vector<double> lag_ms(schedule.size());
+  ctx.lag_ms = &lag_ms;
 
-  // The peak-RSS counter restarts here, after the inputs and the reference
-  // exist, so their transients do not count as serving memory. Memory they
-  // freed goes back to the kernel first, so the counter restarts from live
-  // data rather than from however much slack the allocator kept.
-  malloc_trim(0);
+  // The peak-RSS counter restarts here, so it covers set-up and serving.
+  // What is resident now is the benchmark's: the binary, the frames, the
+  // schedule and the result buffers (the info line's rss_baseline_mb).
   const bool rss_reset = ResetPeakRss();
 
   const std::string fingerprint =
@@ -1207,7 +1426,7 @@ RunResult RunWorkload(const RunOptions& options) {
   if (options.trace) {
     Pass traced = Serve(ctx, true, run_id + 1);
     SpanLog calibration(true, run_id + 1);
-    const double decode_ns = DecodeNsPerExample(domains, plans, calibration);
+    const double decode_ns = DecodeNsPerExample(plans, calibration);
     PerLayer(ctx, measured, traced, decode_ns, busy_threads, result.metrics);
     std::vector<std::pair<std::string, const SpanLog*>> logs = {
         {"main", &traced.logs[0]},
@@ -1241,6 +1460,10 @@ RunResult RunWorkload(const RunOptions& options) {
   }
   const Quantile run_p50 = QuantileOf(all_latency, 0.50);
   const Quantile run_p99 = QuantileOf(std::move(all_latency), 0.99);
+  std::vector<double> setup_totals;
+  for (const SetupTimes& setup : measured.setups) {
+    setup_totals.push_back(setup.total);
+  }
   std::string info = "{\"fingerprint\":" + fingerprint;
   info += ",\"workload\":" + JsonString(options.workload);
   info += ",\"seconds\":" + JsonNumber(options.seconds);
@@ -1265,6 +1488,10 @@ RunResult RunWorkload(const RunOptions& options) {
   info += ",\"rss_peak_reset\":" + std::string(rss_reset ? "true" : "false");
   info += ",\"rss_baseline_mb\":" + JsonNumber(measured.rss_baseline_mb);
   info += ",\"rss_peak_mb\":" + JsonNumber(measured.rss_peak_mb);
+  info += ",\"setup_ms\":{\"min\":" +
+          JsonNumber(Fastest(measured.setups, &SetupTimes::total) * 1e3) +
+          ",\"p50\":" + JsonNumber(Median(setup_totals) * 1e3) +
+          ",\"samples\":" + std::to_string(setup_totals.size()) + "}";
   info += "}";
   result.info_json = std::move(info);
   return result;

@@ -38,8 +38,8 @@ struct RunResult {
   bool correct = false;
   /// Offered examples.
   std::uint64_t attempted = 0;
-  /// Offered examples the workload's contract required to be scored but
-  /// that were not (errored, lost on the wire, or above-floor and missed).
+  /// Offered examples that were not scored (shed, dropped, errored or
+  /// lost on the wire); every workload must score them all.
   std::uint64_t failed = 0;
   std::vector<Metric> metrics;
   /// One line per failed correctness check.
