@@ -1,8 +1,11 @@
 #include "core/consistency.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cmath>
+#include <numeric>
+#include <span>
+#include <string_view>
+#include <tuple>
 
 #include "common/check.hpp"
 
@@ -25,25 +28,6 @@ std::vector<std::string> ConsistencyEngine::AssertionNames() const {
   return names;
 }
 
-namespace {
-
-/// Key identifying one tracked entity: (group, identifier).
-using EntityKey = std::pair<std::string, std::string>;
-
-/// Per-group ordered timeline of frames.
-struct GroupTimeline {
-  std::vector<std::size_t> example_indices;  // sorted by timestamp
-  std::vector<double> timestamps;
-};
-
-/// A maximal run of consecutive frames on which an entity is present.
-struct Episode {
-  std::size_t first_frame;  // index into the group timeline
-  std::size_t last_frame;   // inclusive
-};
-
-}  // namespace
-
 ConsistencyResult ConsistencyEngine::Analyze(
     const std::vector<ConsistencyFrame>& frames,
     const std::vector<ConsistencyRecord>& records,
@@ -55,7 +39,6 @@ ConsistencyResult ConsistencyEngine::Analyze(
   // depend on which keys happen to appear in the data.
   const std::vector<std::string>& keys = config_.attribute_keys;
   result.assertion_names = AssertionNames();
-  const bool temporal = config_.temporal_threshold > 0.0;
   result.severities.assign(result.assertion_names.size(),
                            std::vector<double>(num_examples, 0.0));
 
@@ -64,33 +47,44 @@ ConsistencyResult ConsistencyEngine::Analyze(
           "record example_index out of range");
   }
 
-  // ---- Attribute consistency ("consistent:<key>"). ----
-  // Group records by entity; for each attribute key take the most common
-  // value (mode; ties broken by first occurrence) and flag + correct the
-  // minority records.
-  std::map<EntityKey, std::vector<std::size_t>> entity_records;
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    entity_records[{records[r].group, records[r].identifier}].push_back(r);
+  // Entities: the runs of equal (group, identifier) in the records' stable
+  // sort, so each entity keeps its records in input order.
+  const auto entity_of = [&](std::size_t r) {
+    return std::tie(records[r].group, records[r].identifier);
+  };
+  std::vector<std::size_t> by_entity(records.size());
+  std::iota(by_entity.begin(), by_entity.end(), std::size_t{0});
+  std::ranges::stable_sort(by_entity, {}, entity_of);
+  std::vector<std::span<const std::size_t>> entities;
+  for (auto it = by_entity.begin(); it != by_entity.end();) {
+    const auto next = std::ranges::upper_bound(it, by_entity.end(),
+                                               entity_of(*it), {}, entity_of);
+    entities.emplace_back(it, next);
+    it = next;
   }
 
+  // ---- Attribute consistency ("consistent:<key>"). ----
+  // For each entity and key take the most common value (mode; ties broken
+  // by first occurrence) and flag + correct the minority records.
+  std::vector<std::pair<std::size_t, std::string_view>> values;  // (rec, val)
+  std::vector<std::string_view> sorted;  // `values` sorted, to count each
   for (std::size_t k = 0; k < keys.size(); ++k) {
-    const std::string& key = keys[k];
-    for (const auto& [entity, record_indices] : entity_records) {
-      // Collect this entity's values for `key`, preserving order.
-      std::vector<std::pair<std::size_t, std::string>> values;  // (rec, val)
-      for (const std::size_t r : record_indices) {
+    for (const auto& entity : entities) {
+      values.clear();
+      for (const std::size_t r : entity) {
         for (const auto& [attr_key, attr_value] : records[r].attributes) {
-          if (attr_key == key) values.emplace_back(r, attr_value);
+          if (attr_key == keys[k]) values.emplace_back(r, attr_value);
         }
       }
       if (values.size() < 2) continue;
-      // Mode with first-occurrence tie-break.
-      std::map<std::string, std::size_t> counts;
-      for (const auto& [_, value] : values) ++counts[value];
-      std::string mode = values.front().second;
+      sorted.clear();
+      for (const auto& [_, value] : values) sorted.push_back(value);
+      std::ranges::sort(sorted);
+      std::string_view mode;
       std::size_t mode_count = 0;
       for (const auto& [r, value] : values) {
-        const std::size_t count = counts[value];
+        if (mode_count > 0 && value == mode) continue;  // counted already
+        const auto count = std::ranges::equal_range(sorted, value).size();
         if (count > mode_count) {
           mode_count = count;
           mode = value;
@@ -107,97 +101,104 @@ ConsistencyResult ConsistencyEngine::Analyze(
         correction.example_index = records[r].example_index;
         correction.timestamp = records[r].timestamp;
         correction.output_index = records[r].output_index;
-        correction.attribute_key = key;
+        correction.attribute_key = keys[k];
         correction.proposed_value = mode;
         result.corrections.push_back(std::move(correction));
       }
     }
   }
 
-  if (!temporal) return result;
+  if (config_.temporal_threshold <= 0.0) return result;
 
   // ---- Temporal consistency (flicker / appear). ----
   const std::size_t flicker_col = keys.size();
   const std::size_t appear_col = keys.size() + 1;
-  const double threshold = config_.temporal_threshold;
 
-  // Build per-group ordered timelines.
-  std::map<std::string, GroupTimeline> timelines;
-  {
-    std::map<std::string, std::vector<std::pair<double, std::size_t>>> raw;
-    for (const auto& frame : frames) {
-      Check(frame.example_index < num_examples,
-            "frame example_index out of range");
-      raw[frame.group].emplace_back(frame.timestamp, frame.example_index);
-    }
-    for (auto& [group, entries] : raw) {
-      std::sort(entries.begin(), entries.end());
-      GroupTimeline timeline;
-      for (const auto& [ts, e] : entries) {
-        timeline.timestamps.push_back(ts);
-        timeline.example_indices.push_back(e);
-      }
-      timelines[group] = std::move(timeline);
-    }
+  // Timelines: the frames' stable sort by (group, timestamp, example index)
+  // holds each group's as one contiguous range. NaN timestamps (from the
+  // wire) sort after every number: `<` on NaN is no strict weak order.
+  for (const auto& frame : frames) {
+    Check(frame.example_index < num_examples,
+          "frame example_index out of range");
   }
+  std::vector<std::size_t> by_time(frames.size());
+  std::iota(by_time.begin(), by_time.end(), std::size_t{0});
+  std::ranges::stable_sort(by_time, {}, [&](std::size_t f) {
+    const double t = frames[f].timestamp;
+    return std::tuple<const std::string&, bool, double, std::size_t>(
+        frames[f].group, std::isnan(t), std::isnan(t) ? 0.0 : t,
+        frames[f].example_index);
+  });
+  std::span<const std::size_t> timeline;  // the current group's frames
+  const auto frame_at = [&](std::size_t f) -> const ConsistencyFrame& {
+    return frames[timeline[f]];
+  };
+  // Example -> last position on the current group's timeline. Entries of
+  // earlier groups are not reset: lookups check the example is there.
+  std::vector<std::size_t> frame_of(num_examples, 0);
+  std::vector<std::pair<std::size_t, std::size_t>> present;  // (frame, rec)
+  std::vector<std::pair<std::size_t, std::size_t>> episodes;  // first, last
 
-  for (const auto& [entity, record_indices] : entity_records) {
-    const auto timeline_it = timelines.find(entity.first);
-    Check(timeline_it != timelines.end(),
-          "records reference group with no frames: " + entity.first);
-    const GroupTimeline& timeline = timeline_it->second;
-    const std::size_t n = timeline.timestamps.size();
-
-    // Presence mask over the group's frames, and per-frame record lists.
-    std::map<std::size_t, std::size_t> example_to_frame;
-    for (std::size_t f = 0; f < n; ++f) {
-      example_to_frame[timeline.example_indices[f]] = f;
-    }
-    std::vector<std::vector<std::size_t>> frame_records(n);
-    for (const std::size_t r : record_indices) {
-      const auto it = example_to_frame.find(records[r].example_index);
-      Check(it != example_to_frame.end(),
-            "record example missing from frame timeline");
-      frame_records[it->second].push_back(r);
-    }
-
-    // Episodes: maximal presence runs.
-    std::vector<Episode> episodes;
-    for (std::size_t f = 0; f < n; ++f) {
-      if (frame_records[f].empty()) continue;
-      if (!episodes.empty() && episodes.back().last_frame + 1 == f) {
-        episodes.back().last_frame = f;
-      } else {
-        episodes.push_back(Episode{f, f});
+  for (const auto& entity : entities) {
+    const std::string& group = records[entity.front()].group;
+    if (timeline.empty() || group != frame_at(0).group) {
+      timeline = std::ranges::equal_range(
+          by_time, group, {},
+          [&](std::size_t f) -> const std::string& { return frames[f].group; });
+      Check(!timeline.empty(),
+            "records reference group with no frames: " + group);
+      for (std::size_t f = 0; f < timeline.size(); ++f) {
+        frame_of[frame_at(f).example_index] = f;
       }
     }
-    if (episodes.empty()) continue;
+
+    // The entity's (frame, record) pairs, by frame and then input order.
+    present.clear();
+    for (const std::size_t r : entity) {
+      const std::size_t f = frame_of[records[r].example_index];
+      Check(f < timeline.size() &&
+                frame_at(f).example_index == records[r].example_index,
+            "record example missing from frame timeline");
+      present.emplace_back(f, r);
+    }
+    std::sort(present.begin(), present.end());
+    const auto records_at = [&](std::size_t f) {
+      return std::ranges::equal_range(
+          present, f, {}, &std::pair<std::size_t, std::size_t>::first);
+    };
+
+    // Episodes: maximal runs of consecutive frames with the entity present.
+    episodes.clear();
+    for (const auto& [f, r] : present) {
+      if (!episodes.empty() && f <= episodes.back().second + 1) {
+        episodes.back().second = f;
+      } else {
+        episodes.emplace_back(f, f);
+      }
+    }
 
     // `flicker`: a gap between two episodes shorter than T means the
     // identifier disappeared and reappeared within a T-second window.
     for (std::size_t e = 0; e + 1 < episodes.size(); ++e) {
-      const std::size_t gap_begin = episodes[e].last_frame + 1;
-      const std::size_t gap_end = episodes[e + 1].first_frame;  // exclusive
+      const std::size_t gap_begin = episodes[e].second + 1;
+      const std::size_t gap_end = episodes[e + 1].first;  // exclusive
       const double gap_duration =
-          timeline.timestamps[gap_end] -
-          timeline.timestamps[episodes[e].last_frame];
-      if (gap_duration >= threshold) continue;
+          frame_at(gap_end).timestamp - frame_at(gap_begin - 1).timestamp;
+      if (gap_duration >= config_.temporal_threshold) continue;
       // Severity on every gap frame; one add-correction per gap frame,
       // supported by the neighbouring occurrences.
       std::vector<std::size_t> support;
-      support.insert(support.end(),
-                     frame_records[episodes[e].last_frame].begin(),
-                     frame_records[episodes[e].last_frame].end());
-      support.insert(support.end(), frame_records[gap_end].begin(),
-                     frame_records[gap_end].end());
+      for (const std::size_t f : {gap_begin - 1, gap_end}) {
+        for (const auto& [_, r] : records_at(f)) support.push_back(r);
+      }
       for (std::size_t f = gap_begin; f < gap_end; ++f) {
-        result.severities[flicker_col][timeline.example_indices[f]] += 1.0;
+        result.severities[flicker_col][frame_at(f).example_index] += 1.0;
         Correction correction;
         correction.kind = CorrectionKind::kAddOutput;
-        correction.group = entity.first;
-        correction.identifier = entity.second;
-        correction.example_index = timeline.example_indices[f];
-        correction.timestamp = timeline.timestamps[f];
+        correction.group = group;
+        correction.identifier = records[entity.front()].identifier;
+        correction.example_index = frame_at(f).example_index;
+        correction.timestamp = frame_at(f).timestamp;
         correction.support_records = support;
         result.corrections.push_back(std::move(correction));
       }
@@ -206,21 +207,20 @@ ConsistencyResult ConsistencyEngine::Analyze(
     // `appear`: an episode shorter than T bounded by absence on both sides
     // (appear + disappear within a T-second window). Episodes touching the
     // stream boundary are not flagged — their true extent is unknown.
-    for (const auto& episode : episodes) {
-      if (episode.first_frame == 0 || episode.last_frame + 1 >= n) continue;
+    for (const auto& [first, last] : episodes) {
+      if (first == 0 || last + 1 >= timeline.size()) continue;
       // Duration measured absence-to-absence: the window containing both
       // the appear and the disappear transition.
-      const double duration = timeline.timestamps[episode.last_frame + 1] -
-                              timeline.timestamps[episode.first_frame - 1];
-      if (duration >= threshold) continue;
-      for (std::size_t f = episode.first_frame; f <= episode.last_frame;
-           ++f) {
-        result.severities[appear_col][timeline.example_indices[f]] += 1.0;
-        for (const std::size_t r : frame_records[f]) {
+      const double duration =
+          frame_at(last + 1).timestamp - frame_at(first - 1).timestamp;
+      if (duration >= config_.temporal_threshold) continue;
+      for (std::size_t f = first; f <= last; ++f) {
+        result.severities[appear_col][frame_at(f).example_index] += 1.0;
+        for (const auto& [_, r] : records_at(f)) {
           Correction correction;
           correction.kind = CorrectionKind::kRemoveOutput;
-          correction.group = entity.first;
-          correction.identifier = entity.second;
+          correction.group = group;
+          correction.identifier = records[entity.front()].identifier;
           correction.example_index = records[r].example_index;
           correction.timestamp = records[r].timestamp;
           correction.output_index = records[r].output_index;

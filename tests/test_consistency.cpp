@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "core/consistency.hpp"
 #include "core/consistency_adapter.hpp"
 
@@ -270,6 +278,302 @@ TEST(ConsistencyEngine, RecordWithoutFrameRejected) {
   // on that group's timeline.
   std::vector<ConsistencyRecord> records = {MakeRecord(1, 1.0, "x")};
   EXPECT_THROW(engine.Analyze(frames, records, 2), common::CheckError);
+}
+
+TEST(ConsistencyEngine, RejectsOutOfRangeFrameIndex) {
+  const auto engine = TemporalEngine(3.0);
+  std::vector<ConsistencyFrame> frames = {{0, 0.0, "g"}, {7, 1.0, "g"}};
+  std::vector<ConsistencyRecord> records = {MakeRecord(0, 0.0, "x")};
+  EXPECT_THROW(engine.Analyze(frames, records, 2), common::CheckError);
+}
+
+TEST(ConsistencyEngine, RecordInGroupWithoutFramesRejected) {
+  const auto engine = TemporalEngine(3.0);
+  std::vector<ConsistencyFrame> frames = {{0, 0.0, "g"}, {1, 1.0, "g"}};
+  std::vector<ConsistencyRecord> records = {MakeRecord(0, 0.0, "x"),
+                                            MakeRecord(1, 1.0, "x", "h")};
+  EXPECT_THROW(engine.Analyze(frames, records, 2), common::CheckError);
+}
+
+TEST(ConsistencyEngine, RecordOnAnotherGroupsFrameRejected) {
+  // Example 0 is on g's timeline only; a record of group h at example 0
+  // must not borrow g's position for it.
+  const auto engine = TemporalEngine(3.0);
+  std::vector<ConsistencyFrame> frames = {{0, 0.0, "g"}, {1, 1.0, "h"}};
+  std::vector<ConsistencyRecord> records = {MakeRecord(0, 0.0, "x", "g"),
+                                            MakeRecord(0, 0.0, "y", "h")};
+  EXPECT_THROW(engine.Analyze(frames, records, 2), common::CheckError);
+}
+
+// Non-finite and signed-zero timestamps (a wire frame can carry any
+// double). Timeline order is numeric `<`, -0.0 tying 0.0 and ties going by
+// example index, with every NaN after every number, whatever the order
+// the frames arrive in.
+TEST(ConsistencyEngine, NonFiniteTimestampsOrderDeterministically) {
+  const auto engine = TemporalEngine(2.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> times = {-inf, 0.0, -0.0, 1.0, inf, nan, -nan};
+  std::vector<ConsistencyFrame> frames;
+  for (std::size_t e = 0; e < times.size(); ++e) {
+    frames.push_back({e, times[e], "g"});
+  }
+  // "a" is absent on example 2 only: a flicker if example 2 sits between
+  // examples 1 and 3 (-0.0 ties 0.0, example index breaks the tie). "full"
+  // is present on every finite frame: it would flicker if a NaN frame
+  // sorted among them. "tail" is present on the later NaN frame only: on
+  // the timeline's last frame it is no brief appearance.
+  std::vector<ConsistencyRecord> records = {
+      MakeRecord(3, 1.0, "a"), MakeRecord(1, 0.0, "a"),
+      MakeRecord(6, nan, "tail")};
+  for (std::size_t e = 0; e < 5; ++e) {
+    records.push_back(MakeRecord(e, times[e], "full"));
+  }
+  common::Rng rng(7);
+  for (int trial = 0; trial < 8; ++trial) {
+    rng.Shuffle(frames);
+    const auto result = engine.Analyze(frames, records, times.size());
+    EXPECT_EQ(result.severities[0],
+              (std::vector<double>{0, 0, 1, 0, 0, 0, 0}));
+    EXPECT_EQ(result.severities[1], std::vector<double>(times.size(), 0.0));
+    ASSERT_EQ(result.corrections.size(), 1u);
+    const Correction& add = result.corrections[0];
+    EXPECT_EQ(add.kind, CorrectionKind::kAddOutput);
+    EXPECT_EQ(add.identifier, "a");
+    EXPECT_EQ(add.example_index, 2u);
+    EXPECT_TRUE(std::signbit(add.timestamp));
+    EXPECT_EQ(add.support_records, (std::vector<std::size_t>{1, 0}));
+  }
+}
+
+// ---- Differential test against the map-based reference ----
+
+// The engine's algorithm as first written, on ordered maps; kept here as
+// the reference the flat-array engine must match output for output. Its
+// timeline sort needs timestamps free of NaN.
+ConsistencyResult ReferenceAnalyze(
+    const ConsistencyConfig& config,
+    const std::vector<ConsistencyFrame>& frames,
+    const std::vector<ConsistencyRecord>& records, std::size_t num_examples) {
+  using EntityKey = std::pair<std::string, std::string>;
+  ConsistencyResult result;
+  const std::vector<std::string>& keys = config.attribute_keys;
+  result.assertion_names = ConsistencyEngine(config).AssertionNames();
+  result.severities.assign(result.assertion_names.size(),
+                           std::vector<double>(num_examples, 0.0));
+  for (const auto& record : records) {
+    common::Check(record.example_index < num_examples, "record range");
+  }
+  std::map<EntityKey, std::vector<std::size_t>> entity_records;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    entity_records[{records[r].group, records[r].identifier}].push_back(r);
+  }
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    for (const auto& [entity, record_indices] : entity_records) {
+      std::vector<std::pair<std::size_t, std::string>> values;
+      for (const std::size_t r : record_indices) {
+        for (const auto& [attr_key, attr_value] : records[r].attributes) {
+          if (attr_key == keys[k]) values.emplace_back(r, attr_value);
+        }
+      }
+      if (values.size() < 2) continue;
+      std::map<std::string, std::size_t> counts;
+      for (const auto& [_, value] : values) ++counts[value];
+      std::string mode = values.front().second;
+      std::size_t mode_count = 0;
+      for (const auto& [r, value] : values) {
+        if (counts[value] > mode_count) {
+          mode_count = counts[value];
+          mode = value;
+        }
+      }
+      if (mode_count == values.size()) continue;
+      for (const auto& [r, value] : values) {
+        if (value == mode) continue;
+        result.severities[k][records[r].example_index] += 1.0;
+        Correction c;
+        c.kind = CorrectionKind::kSetAttribute;
+        c.group = records[r].group;
+        c.identifier = records[r].identifier;
+        c.example_index = records[r].example_index;
+        c.timestamp = records[r].timestamp;
+        c.output_index = records[r].output_index;
+        c.attribute_key = keys[k];
+        c.proposed_value = mode;
+        result.corrections.push_back(std::move(c));
+      }
+    }
+  }
+  if (config.temporal_threshold <= 0.0) return result;
+
+  const std::size_t flicker_col = keys.size();
+  const std::size_t appear_col = keys.size() + 1;
+  std::map<std::string, std::vector<std::pair<double, std::size_t>>> timelines;
+  for (const auto& frame : frames) {
+    common::Check(frame.example_index < num_examples, "frame range");
+    timelines[frame.group].emplace_back(frame.timestamp, frame.example_index);
+  }
+  for (auto& [_, timeline] : timelines) {
+    std::sort(timeline.begin(), timeline.end());
+  }
+  for (const auto& [entity, record_indices] : entity_records) {
+    const auto it = timelines.find(entity.first);
+    common::Check(it != timelines.end(), "group without frames");
+    const auto& timeline = it->second;
+    const std::size_t n = timeline.size();
+    std::map<std::size_t, std::size_t> example_to_frame;
+    for (std::size_t f = 0; f < n; ++f) {
+      example_to_frame[timeline[f].second] = f;
+    }
+    std::vector<std::vector<std::size_t>> frame_records(n);
+    for (const std::size_t r : record_indices) {
+      const auto found = example_to_frame.find(records[r].example_index);
+      common::Check(found != example_to_frame.end(), "missing frame");
+      frame_records[found->second].push_back(r);
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> episodes;
+    for (std::size_t f = 0; f < n; ++f) {
+      if (frame_records[f].empty()) continue;
+      if (!episodes.empty() && episodes.back().second + 1 == f) {
+        episodes.back().second = f;
+      } else {
+        episodes.emplace_back(f, f);
+      }
+    }
+    for (std::size_t e = 0; e + 1 < episodes.size(); ++e) {
+      const std::size_t last = episodes[e].second;
+      const std::size_t next = episodes[e + 1].first;
+      if (timeline[next].first - timeline[last].first >=
+          config.temporal_threshold) {
+        continue;
+      }
+      std::vector<std::size_t> support = frame_records[last];
+      support.insert(support.end(), frame_records[next].begin(),
+                     frame_records[next].end());
+      for (std::size_t f = last + 1; f < next; ++f) {
+        result.severities[flicker_col][timeline[f].second] += 1.0;
+        Correction c;
+        c.kind = CorrectionKind::kAddOutput;
+        c.group = entity.first;
+        c.identifier = entity.second;
+        c.example_index = timeline[f].second;
+        c.timestamp = timeline[f].first;
+        c.support_records = support;
+        result.corrections.push_back(std::move(c));
+      }
+    }
+    for (const auto& [first, last] : episodes) {
+      if (first == 0 || last + 1 >= n) continue;
+      if (timeline[last + 1].first - timeline[first - 1].first >=
+          config.temporal_threshold) {
+        continue;
+      }
+      for (std::size_t f = first; f <= last; ++f) {
+        result.severities[appear_col][timeline[f].second] += 1.0;
+        for (const std::size_t r : frame_records[f]) {
+          Correction c;
+          c.kind = CorrectionKind::kRemoveOutput;
+          c.group = entity.first;
+          c.identifier = entity.second;
+          c.example_index = records[r].example_index;
+          c.timestamp = records[r].timestamp;
+          c.output_index = records[r].output_index;
+          result.corrections.push_back(std::move(c));
+        }
+      }
+    }
+  }
+  return result;
+}
+
+struct RandomCase {
+  ConsistencyConfig config;
+  std::vector<ConsistencyFrame> frames;
+  std::vector<ConsistencyRecord> records;
+  std::size_t num_examples = 0;
+};
+
+// A valid random stream: interleaved groups, frames and records in shuffled
+// order, duplicated example indices within a group, tied timestamps (some
+// -0.0), repeated attribute keys on one record, tied modes, T = 0 and
+// empty record sets among the cases.
+RandomCase MakeRandomCase(std::uint64_t seed) {
+  common::Rng rng(seed);
+  const auto pick = [&](std::int64_t n) {
+    return static_cast<std::size_t>(rng.UniformInt(0, n - 1));
+  };
+  RandomCase c;
+  const double thresholds[] = {0.0, 0.5, 1.5, 3.0};
+  c.config.temporal_threshold = thresholds[pick(4)];
+  for (const char* key : {"k0", "k1"}) {
+    if (rng.Bernoulli(0.6)) c.config.attribute_keys.push_back(key);
+  }
+  c.num_examples = pick(24);
+  const std::vector<std::string> groups = {"g0", "g1", "g2"};
+  const std::size_t num_groups = 1 + pick(3);
+  for (std::size_t e = 0; e < c.num_examples; ++e) {
+    const std::string& group = groups[pick(num_groups)];
+    const double t = rng.Bernoulli(0.2) ? static_cast<double>(pick(4)) * 0.5
+                                        : static_cast<double>(e) * 0.5;
+    c.frames.push_back({e, t == 0.0 && rng.Bernoulli(0.5) ? -0.0 : t, group});
+    if (rng.Bernoulli(0.1)) {  // the same example again, maybe later
+      c.frames.push_back({e, t + static_cast<double>(pick(3)), group});
+    }
+  }
+  const std::size_t num_records = rng.Bernoulli(0.1) ? 0 : pick(40);
+  for (std::size_t i = 0; i < num_records && !c.frames.empty(); ++i) {
+    const ConsistencyFrame& frame = c.frames[pick(
+        static_cast<std::int64_t>(c.frames.size()))];
+    ConsistencyRecord r = MakeRecord(frame.example_index, frame.timestamp,
+                                     std::string(1, "abcd"[pick(4)]),
+                                     frame.group);
+    r.output_index = static_cast<std::int64_t>(pick(3));
+    for (std::size_t a = pick(4); a > 0; --a) {
+      // "k9" is a key no config lists; "" is a value like any other.
+      const char* keys[] = {"k0", "k1", "k9"};
+      const char* attribute_values[] = {"", "x", "y", "z"};
+      r.attributes.emplace_back(keys[pick(3)], attribute_values[pick(4)]);
+    }
+    c.records.push_back(std::move(r));
+  }
+  rng.Shuffle(c.frames);
+  rng.Shuffle(c.records);
+  return c;
+}
+
+TEST(ConsistencyEngine, MatchesMapBasedReferenceOnRandomStreams) {
+  std::map<CorrectionKind, std::size_t> kinds_seen;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomCase c = MakeRandomCase(seed);
+    const ConsistencyResult want =
+        ReferenceAnalyze(c.config, c.frames, c.records, c.num_examples);
+    const ConsistencyResult got = ConsistencyEngine(c.config).Analyze(
+        c.frames, c.records, c.num_examples);
+    EXPECT_EQ(got.assertion_names, want.assertion_names);
+    EXPECT_EQ(got.severities, want.severities);
+    ASSERT_EQ(got.corrections.size(), want.corrections.size());
+    for (std::size_t i = 0; i < want.corrections.size(); ++i) {
+      const Correction& g = got.corrections[i];
+      const Correction& w = want.corrections[i];
+      EXPECT_EQ(g.kind, w.kind) << "correction " << i;
+      EXPECT_EQ(g.group, w.group) << "correction " << i;
+      EXPECT_EQ(g.identifier, w.identifier) << "correction " << i;
+      EXPECT_EQ(g.example_index, w.example_index) << "correction " << i;
+      EXPECT_EQ(g.timestamp, w.timestamp) << "correction " << i;
+      EXPECT_EQ(g.output_index, w.output_index) << "correction " << i;
+      EXPECT_EQ(g.attribute_key, w.attribute_key) << "correction " << i;
+      EXPECT_EQ(g.proposed_value, w.proposed_value) << "correction " << i;
+      EXPECT_EQ(g.support_records, w.support_records) << "correction " << i;
+    }
+    for (const Correction& w : want.corrections) ++kinds_seen[w.kind];
+  }
+  // The generator must exercise every correction kind.
+  for (const auto kind :
+       {CorrectionKind::kSetAttribute, CorrectionKind::kAddOutput,
+        CorrectionKind::kRemoveOutput}) {
+    EXPECT_GT(kinds_seen[kind], 100u);
+  }
 }
 
 // Parameterized: threshold semantics — a gap of `gap` seconds fires iff
