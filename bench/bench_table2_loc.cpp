@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
 
   const FunctionRef iou{"src/geometry/box.cpp",
                         "double Iou(const Box2D& a, const Box2D& b)"};
-  const FunctionRef tracker_update{
+  const FunctionRef tracker_associate{
       "src/geometry/tracker.cpp",
-      "std::vector<TrackedDetection> IouTracker::Update"};
+      "std::span<const std::int64_t> IouTracker::Associate"};
   const FunctionRef project_box{"src/geometry/box.cpp",
                                 "Box2D Camera::ProjectBox"};
 
@@ -50,11 +50,11 @@ int main(int argc, char** argv) {
       {"flicker",
        {{"src/video/assertions.cpp",
          "core::ConsistencyExtraction ExtractVideoRecords"}},
-       {iou, tracker_update}},
+       {iou, tracker_associate}},
       {"appear",
        {{"src/video/assertions.cpp",
          "core::ConsistencyExtraction ExtractVideoRecords"}},
-       {iou, tracker_update}},
+       {iou, tracker_associate}},
       // Custom assertions: the developer writes the severity function.
       {"multibox",
        {{"src/video/assertions.cpp", "double MultiboxSeverity"}},

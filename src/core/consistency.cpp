@@ -1,7 +1,9 @@
 #include "core/consistency.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <string_view>
@@ -12,6 +14,68 @@
 namespace omg::core {
 
 using common::Check;
+
+namespace {
+
+// Lays the records out entity by entity into `by_entity` and returns the
+// entities: the distinct (group, identifier) keys in string order, each
+// holding its records in input order. Each record's key is interned to a
+// dense id through a hash table, so only the distinct keys are compared as
+// strings; a counting sort by key rank then places the records.
+std::vector<std::span<const std::size_t>> GroupEntities(
+    const std::vector<ConsistencyRecord>& records,
+    std::vector<std::size_t>& by_entity) {
+  constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
+  const std::size_t n = records.size();
+  // Open addressing, at most half full: key ids by slot.
+  const std::size_t mask = std::bit_ceil(std::max<std::size_t>(2 * n, 8)) - 1;
+  std::vector<std::size_t> table(mask + 1, kEmpty);
+  std::vector<std::size_t> key_of(n);
+  std::vector<std::size_t> key_record;  // key id -> its first record
+  const std::hash<std::string_view> hash;
+  for (std::size_t r = 0; r < n; ++r) {
+    const ConsistencyRecord& record = records[r];
+    std::size_t slot =
+        (hash(record.group) ^ (hash(record.identifier) * 0x9E3779B97F4A7C15u)) &
+        mask;
+    while (table[slot] != kEmpty) {
+      const ConsistencyRecord& seen = records[key_record[table[slot]]];
+      if (seen.identifier == record.identifier && seen.group == record.group) {
+        break;
+      }
+      slot = (slot + 1) & mask;
+    }
+    if (table[slot] == kEmpty) {
+      table[slot] = key_record.size();
+      key_record.push_back(r);
+    }
+    key_of[r] = table[slot];
+  }
+
+  // Key ids in (group, identifier) order, then each key's first position.
+  std::vector<std::size_t> by_key(key_record.size());
+  std::iota(by_key.begin(), by_key.end(), std::size_t{0});
+  std::ranges::sort(by_key, {}, [&](std::size_t k) {
+    return std::tie(records[key_record[k]].group,
+                    records[key_record[k]].identifier);
+  });
+  std::vector<std::size_t> begin_of(key_record.size(), 0);
+  for (const std::size_t k : key_of) ++begin_of[k];
+  std::vector<std::span<const std::size_t>> entities;
+  entities.reserve(by_key.size());
+  by_entity.resize(n);
+  std::size_t begin = 0;
+  for (const std::size_t k : by_key) {
+    const std::size_t count = begin_of[k];
+    begin_of[k] = begin;
+    entities.emplace_back(by_entity.data() + begin, count);
+    begin += count;
+  }
+  for (std::size_t r = 0; r < n; ++r) by_entity[begin_of[key_of[r]]++] = r;
+  return entities;
+}
+
+}  // namespace
 
 ConsistencyEngine::ConsistencyEngine(ConsistencyConfig config)
     : config_(std::move(config)) {}
@@ -32,6 +96,20 @@ ConsistencyResult ConsistencyEngine::Analyze(
     const std::vector<ConsistencyFrame>& frames,
     const std::vector<ConsistencyRecord>& records,
     std::size_t num_examples) const {
+  return Run(frames, records, num_examples, /*with_corrections=*/true);
+}
+
+ConsistencyResult ConsistencyEngine::Score(
+    const std::vector<ConsistencyFrame>& frames,
+    const std::vector<ConsistencyRecord>& records,
+    std::size_t num_examples) const {
+  return Run(frames, records, num_examples, /*with_corrections=*/false);
+}
+
+ConsistencyResult ConsistencyEngine::Run(
+    const std::vector<ConsistencyFrame>& frames,
+    const std::vector<ConsistencyRecord>& records, std::size_t num_examples,
+    bool with_corrections) const {
   ConsistencyResult result;
 
   // The configured attribute keys are authoritative: the generated
@@ -47,21 +125,9 @@ ConsistencyResult ConsistencyEngine::Analyze(
           "record example_index out of range");
   }
 
-  // Entities: the runs of equal (group, identifier) in the records' stable
-  // sort, so each entity keeps its records in input order.
-  const auto entity_of = [&](std::size_t r) {
-    return std::tie(records[r].group, records[r].identifier);
-  };
-  std::vector<std::size_t> by_entity(records.size());
-  std::iota(by_entity.begin(), by_entity.end(), std::size_t{0});
-  std::ranges::stable_sort(by_entity, {}, entity_of);
-  std::vector<std::span<const std::size_t>> entities;
-  for (auto it = by_entity.begin(); it != by_entity.end();) {
-    const auto next = std::ranges::upper_bound(it, by_entity.end(),
-                                               entity_of(*it), {}, entity_of);
-    entities.emplace_back(it, next);
-    it = next;
-  }
+  std::vector<std::size_t> by_entity;
+  const std::vector<std::span<const std::size_t>> entities =
+      GroupEntities(records, by_entity);
 
   // ---- Attribute consistency ("consistent:<key>"). ----
   // For each entity and key take the most common value (mode; ties broken
@@ -94,6 +160,7 @@ ConsistencyResult ConsistencyEngine::Analyze(
       for (const auto& [r, value] : values) {
         if (value == mode) continue;
         result.severities[k][records[r].example_index] += 1.0;
+        if (!with_corrections) continue;
         Correction correction;
         correction.kind = CorrectionKind::kSetAttribute;
         correction.group = records[r].group;
@@ -188,11 +255,14 @@ ConsistencyResult ConsistencyEngine::Analyze(
       // Severity on every gap frame; one add-correction per gap frame,
       // supported by the neighbouring occurrences.
       std::vector<std::size_t> support;
-      for (const std::size_t f : {gap_begin - 1, gap_end}) {
-        for (const auto& [_, r] : records_at(f)) support.push_back(r);
+      if (with_corrections) {
+        for (const std::size_t f : {gap_begin - 1, gap_end}) {
+          for (const auto& [_, r] : records_at(f)) support.push_back(r);
+        }
       }
       for (std::size_t f = gap_begin; f < gap_end; ++f) {
         result.severities[flicker_col][frame_at(f).example_index] += 1.0;
+        if (!with_corrections) continue;
         Correction correction;
         correction.kind = CorrectionKind::kAddOutput;
         correction.group = group;
@@ -216,6 +286,7 @@ ConsistencyResult ConsistencyEngine::Analyze(
       if (duration >= config_.temporal_threshold) continue;
       for (std::size_t f = first; f <= last; ++f) {
         result.severities[appear_col][frame_at(f).example_index] += 1.0;
+        if (!with_corrections) continue;
         for (const auto& [_, r] : records_at(f)) {
           Correction correction;
           correction.kind = CorrectionKind::kRemoveOutput;

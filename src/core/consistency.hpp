@@ -122,7 +122,17 @@ class ConsistencyEngine {
                             const std::vector<ConsistencyRecord>& records,
                             std::size_t num_examples) const;
 
+  /// Analyze without the corrections: the same names and severities, with
+  /// `corrections` left empty. Scoring reads only the severities.
+  ConsistencyResult Score(const std::vector<ConsistencyFrame>& frames,
+                          const std::vector<ConsistencyRecord>& records,
+                          std::size_t num_examples) const;
+
  private:
+  ConsistencyResult Run(const std::vector<ConsistencyFrame>& frames,
+                        const std::vector<ConsistencyRecord>& records,
+                        std::size_t num_examples, bool with_corrections) const;
+
   ConsistencyConfig config_;
 };
 

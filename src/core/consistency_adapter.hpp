@@ -47,28 +47,27 @@ class ConsistencyAnalyzer {
     return engine_.AssertionNames();
   }
 
-  /// Analysis of `examples`, memoised on (data pointer, size). The cache
-  /// makes one suite pass run the engine once; passing a *different* stream
-  /// re-analyses.
+  /// Full analysis of `examples`, corrections included, memoised on (data
+  /// pointer, size). The memo makes one suite pass run the engine once;
+  /// passing a *different* stream re-analyses. After Scores() on the same
+  /// stream this re-runs the engine on the memoised extraction but does not
+  /// extract again.
   const ConsistencyResult& Analyze(std::span<const Example> examples) {
-    if (cached_ != nullptr && cache_data_ == examples.data() &&
-        cache_size_ == examples.size()) {
-      return *cached_;
-    }
-    ConsistencyExtraction extraction = extract_(examples);
-    cached_ = std::make_unique<ConsistencyResult>(engine_.Analyze(
-        extraction.frames, extraction.records, examples.size()));
-    cache_records_ = std::move(extraction.records);
-    cache_data_ = examples.data();
-    cache_size_ = examples.size();
-    return *cached_;
+    return Run(examples, /*with_corrections=*/true);
   }
 
-  /// Records from the latest Analyze call — Correction::support_records
-  /// index into this vector.
+  /// Severities of `examples` under the same memo; `corrections` is empty
+  /// unless an Analyze() of this stream filled it. The scoring path reads
+  /// only the severities, so it skips building corrections.
+  const ConsistencyResult& Scores(std::span<const Example> examples) {
+    return Run(examples, /*with_corrections=*/false);
+  }
+
+  /// Records from the latest analysis — Correction::support_records index
+  /// into this vector.
   const std::vector<ConsistencyRecord>& LatestRecords() const {
-    common::Check(cached_ != nullptr, "Analyze must run first");
-    return cache_records_;
+    common::Check(memo_valid_, "Analyze must run first");
+    return memo_.records;
   }
 
   /// Corrections from the latest analysis of `examples`.
@@ -82,19 +81,43 @@ class ConsistencyAnalyzer {
   /// e.g. a freshly allocated stream of the same length after retraining
   /// the model (allocator reuse can alias the key).
   void Invalidate() {
-    cached_.reset();
-    cache_records_.clear();
-    cache_data_ = nullptr;
-    cache_size_ = 0;
+    memo_valid_ = false;
+    memo_ = {};
+    memo_result_ = {};
   }
 
  private:
+  const ConsistencyResult& Run(std::span<const Example> examples,
+                               bool with_corrections) {
+    const bool same_stream = memo_valid_ && memo_data_ == examples.data() &&
+                             memo_size_ == examples.size();
+    if (same_stream && (memo_has_corrections_ || !with_corrections)) {
+      return memo_result_;
+    }
+    memo_valid_ = false;  // stays unset if the extractor or engine throws
+    if (!same_stream) {
+      memo_ = extract_(examples);
+      memo_data_ = examples.data();
+      memo_size_ = examples.size();
+    }
+    memo_result_ =
+        with_corrections
+            ? engine_.Analyze(memo_.frames, memo_.records, examples.size())
+            : engine_.Score(memo_.frames, memo_.records, examples.size());
+    memo_has_corrections_ = with_corrections;
+    memo_valid_ = true;
+    return memo_result_;
+  }
+
   ConsistencyEngine engine_;
   ExtractFn extract_;
-  std::unique_ptr<ConsistencyResult> cached_;
-  std::vector<ConsistencyRecord> cache_records_;
-  const Example* cache_data_ = nullptr;
-  std::size_t cache_size_ = 0;
+  // The memo: key, extraction and result of the latest stream analysed.
+  bool memo_valid_ = false;
+  bool memo_has_corrections_ = false;
+  const Example* memo_data_ = nullptr;
+  std::size_t memo_size_ = 0;
+  ConsistencyExtraction memo_;
+  ConsistencyResult memo_result_;
 };
 
 /// One generated assertion = one column of the shared analyzer's result.
@@ -109,7 +132,7 @@ class GeneratedConsistencyAssertion final : public Assertion<Example> {
         column_(column) {}
 
   std::vector<double> CheckAll(std::span<const Example> examples) override {
-    const ConsistencyResult& result = analyzer_->Analyze(examples);
+    const ConsistencyResult& result = analyzer_->Scores(examples);
     common::CheckIndex(static_cast<std::ptrdiff_t>(column_), 0,
                        static_cast<std::ptrdiff_t>(result.severities.size()),
                        "generated assertion column");

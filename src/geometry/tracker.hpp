@@ -10,19 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "geometry/box.hpp"
 
 namespace omg::geometry {
-
-/// A detection annotated with its track identifier.
-struct TrackedDetection {
-  Detection detection;
-  std::int64_t track_id = -1;
-};
 
 /// Configuration for the IoU tracker.
 struct TrackerConfig {
@@ -37,9 +30,12 @@ class IouTracker {
  public:
   explicit IouTracker(TrackerConfig config = {});
 
-  /// Associates one frame's detections with live tracks and returns the
-  /// detections with track ids assigned. Call once per frame, in order.
-  std::vector<TrackedDetection> Update(std::span<const Detection> detections);
+  /// Associates one frame's detections with live tracks and returns each
+  /// detection's track id, in detection order. Call once per frame, in
+  /// order. The ids stay valid until the next call on this tracker; the
+  /// tracker reuses its buffers across frames.
+  std::span<const std::int64_t> Associate(
+      std::span<const Detection> detections);
 
   /// Number of tracks ever created.
   std::int64_t TrackCount() const { return next_track_id_; }
@@ -51,13 +47,22 @@ class IouTracker {
   struct Track {
     std::int64_t id;
     Box2D last_box;
-    std::string label;
     std::size_t frames_since_match;
+  };
+  // A (track, detection) pair above the matching threshold.
+  struct Candidate {
+    std::size_t track_index;
+    std::size_t det_index;
+    double iou;
   };
 
   TrackerConfig config_;
   std::vector<Track> tracks_;
   std::int64_t next_track_id_ = 0;
+  // Per-frame scratch, kept to reuse its capacity.
+  std::vector<Candidate> candidates_;
+  std::vector<char> track_matched_;
+  std::vector<std::int64_t> det_track_;
 };
 
 }  // namespace omg::geometry

@@ -99,18 +99,16 @@ LabelValidationReport ValidateLabels(
       det.confidence = 1.0;  // human labels carry full confidence
       detections.push_back(std::move(det));
     }
-    // Track on geometry only: class changes must not break the track (that
-    // is exactly what we want to catch), so strip labels before updating.
-    std::vector<geometry::Detection> geometry_only = detections;
-    for (auto& det : geometry_only) det.label = "object";
-    const auto tracked = tracker.Update(geometry_only);
-    for (std::size_t d = 0; d < tracked.size(); ++d) {
+    // The tracker matches on geometry only, so a class change does not
+    // break the track (that is exactly what we want to catch).
+    const auto track_ids = tracker.Associate(detections);
+    for (std::size_t d = 0; d < track_ids.size(); ++d) {
       core::ConsistencyRecord record;
       record.example_index = e;
       record.output_index = static_cast<std::int64_t>(d);
       record.timestamp = frames[e].timestamp;
       record.group = "video";
-      record.identifier = "track-" + std::to_string(tracked[d].track_id);
+      record.identifier = "track-" + std::to_string(track_ids[d]);
       record.attributes.emplace_back("class",
                                      frames[e].labels[d].labeled_class);
       records.push_back(std::move(record));

@@ -56,7 +56,7 @@ struct TenantOptions {
   /// Tenant id; must satisfy ValidTenantName (it becomes a metrics label).
   std::string name;
   /// Shared secret checked at HELLO (empty = no token required).
-  std::string token;
+  std::string token = "";
   /// Admission quota, examples per second (0 = unlimited).
   double quota_eps = 0.0;
   /// Token-bucket burst capacity in examples (0 = one second of quota).

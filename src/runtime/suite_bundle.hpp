@@ -95,7 +95,7 @@ struct SuiteBundle {
   /// Emitted assertion indices must follow `suite`'s order.
   std::function<std::unique_ptr<StreamScorer<Example>>(
       const StreamScorerParams&)>
-      scorer;
+      scorer = nullptr;
 };
 
 /// Builds one stream's SuiteBundle; called once per RegisterStream.

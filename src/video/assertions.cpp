@@ -1,6 +1,10 @@
 #include "video/assertions.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <string>
+#include <string_view>
 
 namespace omg::video {
 
@@ -28,22 +32,31 @@ core::ConsistencyExtraction ExtractVideoRecords(
     std::span<const VideoExample> examples,
     const geometry::TrackerConfig& tracker_config) {
   core::ConsistencyExtraction extraction;
+  extraction.frames.reserve(examples.size());
+  std::size_t num_records = 0;
+  for (const auto& example : examples) {
+    num_records += example.detections.size();
+  }
+  extraction.records.resize(num_records);
+  // The identifier "track-<id>" is written in place; with one class there
+  // are no attributes (the configured key list is empty, §4.1).
+  constexpr std::string_view kPrefix = "track-";
+  char identifier[kPrefix.size() + 20];
+  std::ranges::copy(kPrefix, identifier);
   geometry::IouTracker tracker(tracker_config);
+  auto record = extraction.records.begin();
   for (std::size_t e = 0; e < examples.size(); ++e) {
     extraction.frames.push_back(
         core::ConsistencyFrame{e, examples[e].timestamp, "video"});
-    const auto tracked = tracker.Update(examples[e].detections);
-    for (std::size_t d = 0; d < tracked.size(); ++d) {
-      core::ConsistencyRecord record;
-      record.example_index = e;
-      record.output_index = static_cast<std::int64_t>(d);
-      record.timestamp = examples[e].timestamp;
-      record.group = "video";
-      record.identifier = "track-" + std::to_string(tracked[d].track_id);
-      // The detected class is the consistency attribute (§4.1); with a
-      // single class it never mismatches but documents the API shape.
-      record.attributes.emplace_back("class", tracked[d].detection.label);
-      extraction.records.push_back(std::move(record));
+    const auto ids = tracker.Associate(examples[e].detections);
+    for (std::size_t d = 0; d < ids.size(); ++d, ++record) {
+      record->example_index = e;
+      record->output_index = static_cast<std::int64_t>(d);
+      record->timestamp = examples[e].timestamp;
+      record->group = "video";
+      const auto end = std::to_chars(identifier + kPrefix.size(),
+                                     std::end(identifier), ids[d]).ptr;
+      record->identifier.assign(identifier, end);
     }
   }
   return extraction;

@@ -496,8 +496,11 @@ struct RandomCase {
 // A valid random stream: interleaved groups, frames and records in shuffled
 // order, duplicated example indices within a group, tied timestamps (some
 // -0.0), repeated attribute keys on one record, tied modes, T = 0 and
-// empty record sets among the cases.
-RandomCase MakeRandomCase(std::uint64_t seed) {
+// empty record sets among the cases. With `tricky_names` the groups and
+// identifiers share prefixes, differ only in length, and hold bytes >= 0x80
+// and embedded '\0', so the engine's entity order must be std::string order
+// (unsigned bytes, shorter prefix first) to match the reference's maps.
+RandomCase MakeRandomCase(std::uint64_t seed, bool tricky_names = false) {
   common::Rng rng(seed);
   const auto pick = [&](std::int64_t n) {
     return static_cast<std::size_t>(rng.UniformInt(0, n - 1));
@@ -509,8 +512,16 @@ RandomCase MakeRandomCase(std::uint64_t seed) {
     if (rng.Bernoulli(0.6)) c.config.attribute_keys.push_back(key);
   }
   c.num_examples = pick(24);
-  const std::vector<std::string> groups = {"g0", "g1", "g2"};
-  const std::size_t num_groups = 1 + pick(3);
+  using namespace std::string_literals;
+  const std::vector<std::string> groups =
+      tricky_names ? std::vector{"g\xff"s, "g"s, "g\0"s, "\x80g"s, "g0"s}
+                   : std::vector{"g0"s, "g1"s, "g2"s};
+  const std::vector<std::string> identifiers =
+      tricky_names ? std::vector{"a"s, "a\0"s, "ab"s, "\x80"s, "a\0b"s,
+                                 "\xff"s, ""s}
+                   : std::vector{"a"s, "b"s, "c"s, "d"s};
+  const std::size_t num_groups =
+      1 + pick(static_cast<std::int64_t>(groups.size()));
   for (std::size_t e = 0; e < c.num_examples; ++e) {
     const std::string& group = groups[pick(num_groups)];
     const double t = rng.Bernoulli(0.2) ? static_cast<double>(pick(4)) * 0.5
@@ -524,9 +535,10 @@ RandomCase MakeRandomCase(std::uint64_t seed) {
   for (std::size_t i = 0; i < num_records && !c.frames.empty(); ++i) {
     const ConsistencyFrame& frame = c.frames[pick(
         static_cast<std::int64_t>(c.frames.size()))];
-    ConsistencyRecord r = MakeRecord(frame.example_index, frame.timestamp,
-                                     std::string(1, "abcd"[pick(4)]),
-                                     frame.group);
+    ConsistencyRecord r = MakeRecord(
+        frame.example_index, frame.timestamp,
+        identifiers[pick(static_cast<std::int64_t>(identifiers.size()))],
+        frame.group);
     r.output_index = static_cast<std::int64_t>(pick(3));
     for (std::size_t a = pick(4); a > 0; --a) {
       // "k9" is a key no config lists; "" is a value like any other.
@@ -541,32 +553,47 @@ RandomCase MakeRandomCase(std::uint64_t seed) {
   return c;
 }
 
+void ExpectSameCorrections(const std::vector<Correction>& got,
+                           const std::vector<Correction>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Correction& g = got[i];
+    const Correction& w = want[i];
+    EXPECT_EQ(g.kind, w.kind) << "correction " << i;
+    EXPECT_EQ(g.group, w.group) << "correction " << i;
+    EXPECT_EQ(g.identifier, w.identifier) << "correction " << i;
+    EXPECT_EQ(g.example_index, w.example_index) << "correction " << i;
+    EXPECT_EQ(g.timestamp, w.timestamp) << "correction " << i;
+    EXPECT_EQ(g.output_index, w.output_index) << "correction " << i;
+    EXPECT_EQ(g.attribute_key, w.attribute_key) << "correction " << i;
+    EXPECT_EQ(g.proposed_value, w.proposed_value) << "correction " << i;
+    EXPECT_EQ(g.support_records, w.support_records) << "correction " << i;
+  }
+}
+
 TEST(ConsistencyEngine, MatchesMapBasedReferenceOnRandomStreams) {
   std::map<CorrectionKind, std::size_t> kinds_seen;
   for (std::uint64_t seed = 1; seed <= 500; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const RandomCase c = MakeRandomCase(seed);
-    const ConsistencyResult want =
-        ReferenceAnalyze(c.config, c.frames, c.records, c.num_examples);
-    const ConsistencyResult got = ConsistencyEngine(c.config).Analyze(
-        c.frames, c.records, c.num_examples);
-    EXPECT_EQ(got.assertion_names, want.assertion_names);
-    EXPECT_EQ(got.severities, want.severities);
-    ASSERT_EQ(got.corrections.size(), want.corrections.size());
-    for (std::size_t i = 0; i < want.corrections.size(); ++i) {
-      const Correction& g = got.corrections[i];
-      const Correction& w = want.corrections[i];
-      EXPECT_EQ(g.kind, w.kind) << "correction " << i;
-      EXPECT_EQ(g.group, w.group) << "correction " << i;
-      EXPECT_EQ(g.identifier, w.identifier) << "correction " << i;
-      EXPECT_EQ(g.example_index, w.example_index) << "correction " << i;
-      EXPECT_EQ(g.timestamp, w.timestamp) << "correction " << i;
-      EXPECT_EQ(g.output_index, w.output_index) << "correction " << i;
-      EXPECT_EQ(g.attribute_key, w.attribute_key) << "correction " << i;
-      EXPECT_EQ(g.proposed_value, w.proposed_value) << "correction " << i;
-      EXPECT_EQ(g.support_records, w.support_records) << "correction " << i;
+    for (const bool tricky_names : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (tricky_names ? " tricky names" : ""));
+      const RandomCase c = MakeRandomCase(seed, tricky_names);
+      const ConsistencyResult want =
+          ReferenceAnalyze(c.config, c.frames, c.records, c.num_examples);
+      const ConsistencyEngine engine(c.config);
+      const ConsistencyResult got =
+          engine.Analyze(c.frames, c.records, c.num_examples);
+      EXPECT_EQ(got.assertion_names, want.assertion_names);
+      EXPECT_EQ(got.severities, want.severities);
+      ExpectSameCorrections(got.corrections, want.corrections);
+      // The severity-only pass scores exactly as the full one.
+      const ConsistencyResult scored =
+          engine.Score(c.frames, c.records, c.num_examples);
+      EXPECT_EQ(scored.assertion_names, want.assertion_names);
+      EXPECT_EQ(scored.severities, want.severities);
+      EXPECT_TRUE(scored.corrections.empty());
+      for (const Correction& w : want.corrections) ++kinds_seen[w.kind];
     }
-    for (const Correction& w : want.corrections) ++kinds_seen[w.kind];
   }
   // The generator must exercise every correction kind.
   for (const auto kind :
@@ -687,6 +714,58 @@ TEST(ConsistencyAdapter, InvalidateForcesReanalysis) {
   analyzer.Invalidate();
   const auto& second = analyzer.Analyze(stream);
   EXPECT_DOUBLE_EQ(second.severities[0][2], 0.0);
+}
+
+// The scoring path (suite CheckAll) and a later Corrections() on the same
+// span share one extraction: the corrections, their order, their support
+// records and LatestRecords() equal a fresh full analysis.
+TEST(ConsistencyAdapter, CorrectionsAfterScoringReuseTheExtraction) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomCase c = MakeRandomCase(seed, seed % 2 == 0);
+    if (c.config.attribute_keys.empty() &&
+        c.config.temporal_threshold <= 0.0) {
+      continue;  // generates no assertions
+    }
+    std::size_t extractions = 0;
+    AssertionSuite<int> suite;
+    auto analyzer = AddConsistencyAssertion<int>(
+        suite, c.config, [&](std::span<const int>) {
+          ++extractions;
+          return ConsistencyExtraction{c.frames, c.records};
+        });
+    const ConsistencyResult want = ConsistencyEngine(c.config).Analyze(
+        c.frames, c.records, c.num_examples);
+    const std::vector<int> stream(c.num_examples, 0);
+
+    const SeverityMatrix m = suite.CheckAll(stream);
+    EXPECT_EQ(extractions, 1u);
+    for (std::size_t a = 0; a < want.severities.size(); ++a) {
+      for (std::size_t e = 0; e < c.num_examples; ++e) {
+        EXPECT_EQ(m.At(e, a), want.severities[a][e]);
+      }
+    }
+    ExpectSameCorrections(analyzer->Corrections(stream), want.corrections);
+    EXPECT_EQ(extractions, 1u);
+    const auto& records = analyzer->LatestRecords();
+    ASSERT_EQ(records.size(), c.records.size());
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      EXPECT_EQ(records[r].example_index, c.records[r].example_index);
+      EXPECT_EQ(records[r].output_index, c.records[r].output_index);
+      EXPECT_EQ(records[r].group, c.records[r].group);
+      EXPECT_EQ(records[r].identifier, c.records[r].identifier);
+    }
+    // A second scoring pass keeps the corrections already built.
+    suite.CheckAll(stream);
+    EXPECT_EQ(analyzer->Analyze(stream).corrections.size(),
+              want.corrections.size());
+    EXPECT_EQ(extractions, 1u);
+
+    analyzer->Invalidate();
+    EXPECT_THROW(analyzer->LatestRecords(), common::CheckError);
+    ExpectSameCorrections(analyzer->Corrections(stream), want.corrections);
+    EXPECT_EQ(extractions, 2u);
+  }
 }
 
 }  // namespace

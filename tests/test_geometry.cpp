@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "geometry/box.hpp"
 #include "geometry/tracker.hpp"
+#include "reference_tracker.hpp"
 
 namespace omg::geometry {
 namespace {
@@ -158,15 +161,22 @@ TEST(Nms, OutputSortedByConfidence) {
   EXPECT_GE(kept[1].confidence, kept[2].confidence);
 }
 
+// One frame's track ids, copied out of the tracker's reused buffer.
+std::vector<std::int64_t> Track(IouTracker& tracker,
+                                std::span<const Detection> detections) {
+  const auto ids = tracker.Associate(detections);
+  return {ids.begin(), ids.end()};
+}
+
 TEST(Tracker, PersistsIdAcrossOverlappingFrames) {
   IouTracker tracker;
   std::vector<Detection> frame1 = {{MakeBox(0, 0, 10, 10), "car", 0.9, 0}};
   std::vector<Detection> frame2 = {{MakeBox(1, 0, 10, 10), "car", 0.9, 0}};
-  const auto t1 = tracker.Update(frame1);
-  const auto t2 = tracker.Update(frame2);
+  const auto t1 = Track(tracker, frame1);
+  const auto t2 = Track(tracker, frame2);
   ASSERT_EQ(t1.size(), 1u);
   ASSERT_EQ(t2.size(), 1u);
-  EXPECT_EQ(t1[0].track_id, t2[0].track_id);
+  EXPECT_EQ(t1[0], t2[0]);
 }
 
 TEST(Tracker, NewObjectGetsNewId) {
@@ -175,55 +185,114 @@ TEST(Tracker, NewObjectGetsNewId) {
   std::vector<Detection> frame2 = {
       {MakeBox(1, 0, 10, 10), "car", 0.9, 0},
       {MakeBox(100, 100, 10, 10), "car", 0.9, 1}};
-  tracker.Update(frame1);
-  const auto t2 = tracker.Update(frame2);
+  Track(tracker, frame1);
+  const auto t2 = Track(tracker, frame2);
   ASSERT_EQ(t2.size(), 2u);
-  EXPECT_NE(t2[0].track_id, t2[1].track_id);
+  EXPECT_NE(t2[0], t2[1]);
 }
 
 TEST(Tracker, CoastsThroughShortGap) {
   IouTracker tracker(TrackerConfig{0.3, 2});
   std::vector<Detection> present = {{MakeBox(0, 0, 10, 10), "car", 0.9, 0}};
   std::vector<Detection> empty;
-  const auto t1 = tracker.Update(present);
-  tracker.Update(empty);  // one-frame gap
-  const auto t3 = tracker.Update(present);
-  EXPECT_EQ(t1[0].track_id, t3[0].track_id);
+  const auto t1 = Track(tracker, present);
+  Track(tracker, empty);  // one-frame gap
+  const auto t3 = Track(tracker, present);
+  EXPECT_EQ(t1[0], t3[0]);
 }
 
 TEST(Tracker, RetiresAfterLongGap) {
   IouTracker tracker(TrackerConfig{0.3, 1});
   std::vector<Detection> present = {{MakeBox(0, 0, 10, 10), "car", 0.9, 0}};
   std::vector<Detection> empty;
-  const auto t1 = tracker.Update(present);
-  tracker.Update(empty);
-  tracker.Update(empty);
-  tracker.Update(empty);
-  const auto t5 = tracker.Update(present);
-  EXPECT_NE(t1[0].track_id, t5[0].track_id);
+  const auto t1 = Track(tracker, present);
+  Track(tracker, empty);
+  Track(tracker, empty);
+  Track(tracker, empty);
+  const auto t5 = Track(tracker, present);
+  EXPECT_NE(t1[0], t5[0]);
 }
 
 TEST(Tracker, GreedyPrefersHigherIou) {
   IouTracker tracker;
   std::vector<Detection> frame1 = {{MakeBox(0, 0, 10, 10), "car", 0.9, 0},
                                    {MakeBox(20, 0, 10, 10), "car", 0.9, 1}};
-  const auto t1 = tracker.Update(frame1);
+  const auto t1 = Track(tracker, frame1);
   // Both detections move slightly; association must follow geometry.
   std::vector<Detection> frame2 = {{MakeBox(21, 0, 10, 10), "car", 0.9, 1},
                                    {MakeBox(1, 0, 10, 10), "car", 0.9, 0}};
-  const auto t2 = tracker.Update(frame2);
-  EXPECT_EQ(t2[0].track_id, t1[1].track_id);
-  EXPECT_EQ(t2[1].track_id, t1[0].track_id);
+  const auto t2 = Track(tracker, frame2);
+  EXPECT_EQ(t2[0], t1[1]);
+  EXPECT_EQ(t2[1], t1[0]);
 }
 
 TEST(Tracker, ResetClearsState) {
   IouTracker tracker;
   std::vector<Detection> present = {{MakeBox(0, 0, 10, 10), "car", 0.9, 0}};
-  tracker.Update(present);
+  Track(tracker, present);
   tracker.Reset();
   EXPECT_EQ(tracker.TrackCount(), 0);
-  const auto t = tracker.Update(present);
-  EXPECT_EQ(t[0].track_id, 0);
+  const auto t = Track(tracker, present);
+  EXPECT_EQ(t[0], 0);
+}
+
+// Random frame sequences with exact IoU ties (duplicated boxes), zero-area,
+// NaN and infinite boxes, empty frames, tracks coasting past
+// max_coast_frames, and resets: Associate() hands out the same ids as the
+// reference tracker, frame by frame.
+TEST(Tracker, MatchesReferenceOnRandomSequences) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const Box2D odd_boxes[] = {
+      {5, 5, 5, 5},           {5, 5, 5, 9},        {kNaN, 0, 10, 10},
+      {0, 0, kNaN, kNaN},     {0, 0, kInf, kInf},  {-kInf, -kInf, kInf, kInf},
+      {-kInf, 0, 10, 10},     {0, 0, -kInf, 10}};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::Rng rng(seed);
+    const double min_ious[] = {0.0, 0.2, 0.3, 0.6};
+    const TrackerConfig config{
+        min_ious[rng.UniformInt(0, 3)],
+        static_cast<std::size_t>(rng.UniformInt(0, 3))};
+    IouTracker tracker(config);
+    testing::ReferenceIouTracker reference(config);
+    // Objects drifting right; boxes snap to a 4-px grid so ties repeat.
+    std::vector<Box2D> objects;
+    for (int i = rng.UniformInt(1, 6); i > 0; --i) {
+      objects.push_back(MakeBox(4.0 * rng.UniformInt(0, 20),
+                                4.0 * rng.UniformInt(0, 10),
+                                4.0 * rng.UniformInt(1, 5),
+                                4.0 * rng.UniformInt(1, 5)));
+    }
+    for (int frame = 0; frame < 40; ++frame) {
+      if (rng.Bernoulli(0.03)) {
+        tracker.Reset();
+        reference.Reset();
+      }
+      std::vector<Detection> detections;
+      // Gaps of several empty frames outlast max_coast_frames.
+      if (!rng.Bernoulli(0.2)) {
+        for (auto& box : objects) {
+          box = box.Translated(4.0 * rng.UniformInt(0, 2), 0.0);
+          if (rng.Bernoulli(0.8)) detections.push_back({box, "car", 0.9, 0});
+        }
+        for (int extra = rng.UniformInt(0, 3); extra > 0; --extra) {
+          if (rng.Bernoulli(0.5) && !detections.empty()) {
+            const auto i = rng.UniformInt(
+                0, static_cast<std::int64_t>(detections.size()) - 1);
+            detections.push_back(detections[static_cast<std::size_t>(i)]);
+          } else {
+            detections.push_back(
+                {odd_boxes[rng.UniformInt(0, 7)], "blob", 0.5, -1});
+          }
+        }
+        rng.Shuffle(detections);
+      }
+      const std::vector<std::int64_t> want = reference.Update(detections);
+      EXPECT_EQ(Track(tracker, detections), want) << "frame " << frame;
+      EXPECT_EQ(tracker.TrackCount(), reference.TrackCount());
+    }
+  }
 }
 
 // Property sweep: NMS output never contains two same-label boxes above the

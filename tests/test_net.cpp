@@ -765,7 +765,7 @@ TEST(Server, CorruptCountHeaderCannotSkewTenantAccounting) {
   // 1. Payload corruption: framing intact, count trusted — 8 offered, 8
   //    decode errors.
   std::vector<std::uint8_t> payload_corrupt = good;
-  payload_corrupt.back() ^= 0xFF;
+  payload_corrupt[FrameHeader::kBytes] ^= 0xFF;  // the first payload byte
   ASSERT_TRUE(RawWriteAll(fd, payload_corrupt));
   // 2. Count-field corruption: header CRC fails, nothing countable, fatal.
   std::vector<std::uint8_t> count_corrupt = good;

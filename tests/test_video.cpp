@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
+#include "common/rng.hpp"
+#include "reference_tracker.hpp"
 #include "video/assertions.hpp"
 #include "video/detector.hpp"
 #include "video/pipeline.hpp"
@@ -174,6 +177,89 @@ TEST(ExtractVideoRecords, TracksAcrossFrames) {
   EXPECT_EQ(extraction.records[0].identifier,
             extraction.records[2].identifier);
   EXPECT_EQ(extraction.frames.size(), 3u);
+}
+
+// The video extractor as first written, on the reference tracker: it also
+// emitted each detection's class as a "class" attribute, which no video
+// config checks.
+core::ConsistencyExtraction ReferenceExtractVideoRecords(
+    std::span<const VideoExample> examples,
+    const geometry::TrackerConfig& tracker_config) {
+  core::ConsistencyExtraction extraction;
+  testing::ReferenceIouTracker tracker(tracker_config);
+  for (std::size_t e = 0; e < examples.size(); ++e) {
+    extraction.frames.push_back(
+        core::ConsistencyFrame{e, examples[e].timestamp, "video"});
+    const auto& detections = examples[e].detections;
+    const std::vector<std::int64_t> ids = tracker.Update(detections);
+    for (std::size_t d = 0; d < ids.size(); ++d) {
+      core::ConsistencyRecord record;
+      record.example_index = e;
+      record.output_index = static_cast<std::int64_t>(d);
+      record.timestamp = examples[e].timestamp;
+      record.group = "video";
+      record.identifier = "track-" + std::to_string(ids[d]);
+      record.attributes.emplace_back("class", detections[d].label);
+      extraction.records.push_back(std::move(record));
+    }
+  }
+  return extraction;
+}
+
+// Detections from simulated night-street frames: most car proposals, a few
+// background and reflection ones, some frames dropped to nothing.
+std::vector<VideoExample> GeneratedVideo(std::uint64_t seed,
+                                         std::size_t frames) {
+  NightStreetWorld world(SmallWorld(), seed);
+  common::Rng rng(seed);
+  std::vector<VideoExample> examples;
+  for (const Frame& frame : world.GenerateFrames(frames)) {
+    VideoExample example;
+    example.frame_index = frame.index;
+    example.timestamp = frame.timestamp;
+    if (!rng.Bernoulli(0.05)) {
+      for (const Proposal& proposal : frame.proposals) {
+        if (rng.Bernoulli(proposal.is_car ? 0.85 : 0.05)) {
+          example.detections.push_back(
+              {proposal.box, "car", 0.9, proposal.truth_id});
+        }
+      }
+    }
+    examples.push_back(std::move(example));
+  }
+  return examples;
+}
+
+TEST(ExtractVideoRecords, MatchesReferenceExtractorOnGeneratedVideo) {
+  std::size_t records_seen = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto examples = GeneratedVideo(seed, 300);
+    for (const geometry::TrackerConfig tracker :
+         {geometry::TrackerConfig{0.2, 2}, geometry::TrackerConfig{0.5, 0}}) {
+      const auto want = ReferenceExtractVideoRecords(examples, tracker);
+      const auto got = ExtractVideoRecords(examples, tracker);
+      ASSERT_EQ(got.frames.size(), want.frames.size());
+      for (std::size_t f = 0; f < want.frames.size(); ++f) {
+        EXPECT_EQ(got.frames[f].example_index, want.frames[f].example_index);
+        EXPECT_EQ(got.frames[f].timestamp, want.frames[f].timestamp);
+        EXPECT_EQ(got.frames[f].group, want.frames[f].group);
+      }
+      ASSERT_EQ(got.records.size(), want.records.size());
+      for (std::size_t r = 0; r < want.records.size(); ++r) {
+        const auto& g = got.records[r];
+        const auto& w = want.records[r];
+        EXPECT_EQ(g.example_index, w.example_index) << "record " << r;
+        EXPECT_EQ(g.output_index, w.output_index) << "record " << r;
+        EXPECT_EQ(g.timestamp, w.timestamp) << "record " << r;
+        EXPECT_EQ(g.group, w.group) << "record " << r;
+        EXPECT_EQ(g.identifier, w.identifier) << "record " << r;
+        EXPECT_TRUE(g.attributes.empty()) << "record " << r;
+      }
+      records_seen += want.records.size();
+    }
+  }
+  EXPECT_GT(records_seen, 1000u);
 }
 
 // Pipeline fixture with a small configuration for fast tests.
