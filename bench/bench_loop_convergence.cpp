@@ -29,7 +29,7 @@
 #include "common/table.hpp"
 #include "eval/detection_metrics.hpp"
 #include "loop/improvement_loop.hpp"
-#include "runtime/service.hpp"
+#include "runtime/sharded_service.hpp"
 #include "video/assertions.hpp"
 #include "video/detector.hpp"
 #include "video/pipeline.hpp"
@@ -43,7 +43,7 @@ struct BenchConfig {
   std::size_t rounds = 8;
   std::size_t frames_per_round = 250;
   std::size_t budget = 35;
-  std::size_t workers = 2;
+  std::size_t shards = 2;
   std::size_t batch = 25;
   /// Frames served before round 0 so the road reaches steady-state density
   /// and the window primes; excluded from round stats.
@@ -171,14 +171,11 @@ ArmResult RunArm(Arm arm, const std::string& name, const BenchConfig& bench) {
           bandit::BalConfig{}, std::make_unique<bandit::RandomStrategy>()),
       oracle, detector.model(), pretrain);
 
-  runtime::RuntimeConfig service_config;
-  service_config.workers = bench.workers;
-  service_config.window = 48;
-  service_config.settle_lag = 8;
-  runtime::MonitorService<video::VideoExample> service(service_config, [] {
+  using Service = runtime::ShardedMonitorService<video::VideoExample>;
+  Service service({.shards = bench.shards, .window = 48, .settle_lag = 8}, [] {
     auto built =
         std::make_shared<video::VideoSuite>(video::BuildVideoSuite());
-    return runtime::MonitorService<video::VideoExample>::SuiteBundle{
+    return Service::SuiteBundle{
         std::shared_ptr<core::AssertionSuite<video::VideoExample>>(
             built, &built->suite),
         [built] { built->consistency->Invalidate(); }};
@@ -286,7 +283,7 @@ void WriteJson(const std::string& path, const BenchConfig& bench,
       << "  \"rounds\": " << bench.rounds << ",\n"
       << "  \"frames_per_round\": " << bench.frames_per_round << ",\n"
       << "  \"budget_per_round\": " << bench.budget << ",\n"
-      << "  \"workers\": " << bench.workers << ",\n"
+      << "  \"shards\": " << bench.shards << ",\n"
       << "  \"seed\": " << bench.seed << ",\n  \"arms\": [\n";
   for (std::size_t a = 0; a < arms.size(); ++a) {
     const ArmResult& arm = arms[a];
@@ -316,7 +313,7 @@ void WriteJson(const std::string& path, const BenchConfig& bench,
 
 int main(int argc, char** argv) {
   const auto flags = common::Flags::Parse(argc, argv);
-  flags.CheckAllowed({"rounds", "frames", "budget", "workers", "batch",
+  flags.CheckAllowed({"rounds", "frames", "budget", "shards", "batch",
                       "warmup", "seed", "json"});
   BenchConfig bench;
   bench.rounds = static_cast<std::size_t>(flags.GetInt("rounds", 8));
@@ -325,7 +322,7 @@ int main(int argc, char** argv) {
   bench.budget = static_cast<std::size_t>(flags.GetInt("budget", 35));
   bench.warmup_frames =
       static_cast<std::size_t>(flags.GetInt("warmup", 60));
-  bench.workers = static_cast<std::size_t>(flags.GetInt("workers", 2));
+  bench.shards = static_cast<std::size_t>(flags.GetInt("shards", 2));
   bench.batch = static_cast<std::size_t>(flags.GetInt("batch", 25));
   bench.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const std::string json_path = flags.GetString("json", "BENCH_loop.json");

@@ -1,11 +1,10 @@
 // Serving-runtime throughput: examples/sec of the multi-stream assertion
-// runtime (runtime/service.hpp) vs. a per-example StreamingMonitor loop over
-// the same workload (ISSUE 1 acceptance: sharded runtime with 4 workers must
-// sustain >= 4x the baseline on an 8-stream workload), plus the sharded
-// backpressure-aware fast path (runtime/sharded_service.hpp):
+// serving engine (runtime/sharded_service.hpp) vs. a per-example
+// StreamingMonitor loop over the same workload:
 //
-//   * a `--shards` sweep over ShardedMonitorService reporting throughput
-//     and the p50/p95/p99 observe-to-flag latency per shard count,
+//   * a `--shards` sweep over ShardedMonitorService reporting throughput,
+//     speedup over the per-example baseline, and the p50/p95/p99
+//     observe-to-flag latency per shard count,
 //   * a saturation bench that paces offered load past capacity against a
 //     small bounded queue under ShedBelowSeverity, recording the
 //     throughput/latency knee — achieved eps tracks offered until the
@@ -65,7 +64,6 @@
 #include "replay/trace_file.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/event_sink.hpp"
-#include "runtime/service.hpp"
 #include "runtime/sharded_service.hpp"
 #include "serve/domains.hpp"
 #include "serve/monitor.hpp"
@@ -234,46 +232,6 @@ RunResult RunBaseline(const std::vector<std::vector<Sample>>& streams,
     }
   }
   result.seconds = Seconds(begin, Clock::now());
-  result.examples_per_sec =
-      static_cast<double>(n * streams.size()) / result.seconds;
-  return result;
-}
-
-/// The serving runtime: streams sharded over `workers`, batched ingestion.
-RunResult RunService(const std::vector<std::vector<Sample>>& streams,
-                     std::size_t workers, std::size_t batch_size,
-                     std::size_t window, std::size_t settle_lag) {
-  runtime::RuntimeConfig config;
-  config.workers = workers;
-  config.window = window;
-  config.settle_lag = settle_lag;
-  runtime::MonitorService<Sample> service(config, [] {
-    auto suite = std::make_shared<core::AssertionSuite<Sample>>();
-    PopulateSuite(*suite);
-    return runtime::MonitorService<Sample>::SuiteBundle{suite, {}};
-  });
-  auto counting = std::make_shared<runtime::CountingSink>();
-  service.AddSink(counting);
-  std::vector<runtime::StreamId> ids;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    ids.push_back(service.RegisterStream("stream-" + std::to_string(s)));
-  }
-
-  RunResult result;
-  const auto begin = Clock::now();
-  const std::size_t n = streams.front().size();
-  for (std::size_t offset = 0; offset < n; offset += batch_size) {
-    const std::size_t count = std::min(batch_size, n - offset);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      service.ObserveBatch(
-          ids[s], std::vector<Sample>(streams[s].begin() + offset,
-                                      streams[s].begin() + offset + count));
-    }
-  }
-  service.Flush();
-  result.seconds = Seconds(begin, Clock::now());
-  common::Check(service.Errors().empty(), "runtime ingestion errors");
-  result.events = counting->count();
   result.examples_per_sec =
       static_cast<double>(n * streams.size()) / result.seconds;
   return result;
@@ -599,10 +557,8 @@ domain = ecg
 
 void WriteJson(
     const std::string& path, std::size_t streams, std::size_t examples,
-    std::size_t window, std::size_t settle_lag, std::size_t workers,
-    std::size_t batch_size, const RunResult& baseline,
-    const RunResult& sharded_1w, const RunResult& sharded,
-    const std::vector<std::pair<std::size_t, RunResult>>& sweep,
+    std::size_t window, std::size_t settle_lag, std::size_t batch_size,
+    const RunResult& baseline,
     const std::vector<std::pair<std::size_t, ShardedRunResult>>& shard_sweep,
     const ShardedRunResult* facade, std::size_t facade_shards,
     double facade_templated_eps, double facade_overhead,
@@ -618,30 +574,11 @@ void WriteJson(
       << "  \"examples_per_stream\": " << examples << ",\n"
       << "  \"window\": " << window << ",\n"
       << "  \"settle_lag\": " << settle_lag << ",\n"
-      << "  \"workers\": " << workers << ",\n"
       << "  \"batch\": " << batch_size << ",\n"
       << "  \"baseline\": {\"mode\": \"per_example_monitor\", \"seconds\": "
       << baseline.seconds << ", \"examples_per_sec\": "
       << baseline.examples_per_sec << ", \"events\": " << baseline.events
       << "},\n"
-      << "  \"sharded_single_worker\": {\"seconds\": " << sharded_1w.seconds
-      << ", \"examples_per_sec\": " << sharded_1w.examples_per_sec
-      << ", \"events\": " << sharded_1w.events << "},\n"
-      << "  \"sharded\": {\"seconds\": " << sharded.seconds
-      << ", \"examples_per_sec\": " << sharded.examples_per_sec
-      << ", \"events\": " << sharded.events << "},\n"
-      << "  \"speedup_sharded_vs_baseline\": "
-      << sharded.examples_per_sec / baseline.examples_per_sec << ",\n"
-      << "  \"worker_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    out << "    {\"workers\": " << sweep[i].first
-        << ", \"seconds\": " << sweep[i].second.seconds
-        << ", \"examples_per_sec\": " << sweep[i].second.examples_per_sec
-        << ", \"speedup_vs_baseline\": "
-        << sweep[i].second.examples_per_sec / baseline.examples_per_sec
-        << "}" << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
       << "  \"shard_sweep\": [\n";
   for (std::size_t i = 0; i < shard_sweep.size(); ++i) {
     const ShardedRunResult& r = shard_sweep[i].second;
@@ -825,7 +762,7 @@ int RunReplayBench(const std::string& trace_path, std::string config_path,
 int main(int argc, char** argv) {
   const auto flags = common::Flags::Parse(argc, argv);
   flags.CheckAllowed(
-      {"streams", "examples", "workers", "shards", "capacity", "batch",
+      {"streams", "examples", "shards", "capacity", "batch",
        "window", "settle", "seed", "json", "facade", "net",
        "net-examples", "replay", "replay-config"});
   if (const std::string replay_trace = flags.GetString("replay", "");
@@ -835,17 +772,8 @@ int main(int argc, char** argv) {
   }
   const auto n_streams = static_cast<std::size_t>(flags.GetInt("streams", 8));
   const auto examples = static_cast<std::size_t>(flags.GetInt("examples", 20000));
-  // `--workers` accepts a comma-separated sweep (e.g. `--workers 1,2,4,8`);
-  // the headline "sharded" row/JSON entry is the last (largest) setting.
-  const std::vector<std::int64_t> worker_sweep =
-      flags.GetIntList("workers", {4});
-  common::Check(!worker_sweep.empty() &&
-                    std::all_of(worker_sweep.begin(), worker_sweep.end(),
-                                [](std::int64_t w) { return w >= 1; }),
-                "--workers entries must be >= 1");
-  const auto workers = static_cast<std::size_t>(worker_sweep.back());
-  // `--shards` sweeps the backpressure-aware fast path
-  // (ShardedMonitorService), e.g. `--shards 1,2,4,8`.
+  // `--shards` sweeps the serving engine (ShardedMonitorService), e.g.
+  // `--shards 1,2,4,8`.
   const std::vector<std::int64_t> shard_counts =
       flags.GetIntList("shards", {1, 2, 4, 8});
   common::Check(!shard_counts.empty() &&
@@ -873,13 +801,6 @@ int main(int argc, char** argv) {
   }
 
   const RunResult baseline = RunBaseline(streams, window, settle_lag);
-  std::vector<std::pair<std::size_t, RunResult>> sweep;
-  for (const std::int64_t w : worker_sweep) {
-    sweep.emplace_back(
-        static_cast<std::size_t>(w),
-        RunService(streams, static_cast<std::size_t>(w), batch_size, window,
-                   settle_lag));
-  }
   std::vector<std::pair<std::size_t, ShardedRunResult>> shard_sweep;
   for (const std::int64_t s : shard_counts) {
     shard_sweep.emplace_back(
@@ -1043,50 +964,18 @@ int main(int argc, char** argv) {
   common::Check(saturation.back().shed_examples > 0,
                 "saturation bench: overload must shed under "
                 "ShedBelowSeverity, not grow the queue");
-  // The 1-worker reference (per-stream batching win without parallelism):
-  // reuse the sweep's run when the sweep already covers it.
-  const auto one_worker =
-      std::find_if(sweep.begin(), sweep.end(),
-                   [](const auto& entry) { return entry.first == 1; });
-  const RunResult sharded_1w =
-      one_worker != sweep.end()
-          ? one_worker->second
-          : RunService(streams, 1, batch_size, window, settle_lag);
-  const RunResult& sharded = sweep.back().second;
-  common::Check(baseline.events == sharded_1w.events,
-                "configurations emitted different event counts");
-  for (const auto& [w, run] : sweep) {
-    common::Check(baseline.events == run.events,
-                  "configurations emitted different event counts");
-  }
-
   std::cout << "=== runtime throughput (" << n_streams << " streams x "
             << examples << " examples, window " << window << ", settle "
             << settle_lag << ") ===\n\n";
-  common::TextTable table(
-      {"Configuration", "Seconds", "Examples/sec", "Events", "Speedup"});
-  const auto row = [&](const std::string& name, const RunResult& r) {
-    table.AddRow({name, common::FormatDouble(r.seconds, 3),
-                  common::FormatDouble(r.examples_per_sec, 0),
-                  std::to_string(r.events),
-                  common::FormatDouble(
-                      r.examples_per_sec / baseline.examples_per_sec, 2) +
-                      "x"});
-  };
-  row("per-example monitor loop", baseline);
-  if (one_worker == sweep.end()) {
-    row("sharded runtime, 1 worker, batch " + std::to_string(batch_size),
-        sharded_1w);
-  }
-  for (const auto& [w, run] : sweep) {
-    row("sharded runtime, " + std::to_string(w) +
-            (w == 1 ? " worker, batch " : " workers, batch ") +
-            std::to_string(batch_size),
-        run);
-  }
+  common::TextTable table({"Configuration", "Seconds", "Examples/sec",
+                           "Events"});
+  table.AddRow({"per-example monitor loop",
+                common::FormatDouble(baseline.seconds, 3),
+                common::FormatDouble(baseline.examples_per_sec, 0),
+                std::to_string(baseline.events)});
   table.Print(std::cout);
 
-  std::cout << "\n=== backpressure-aware fast path (--shards sweep) ===\n\n";
+  std::cout << "\n=== serving engine (--shards sweep) ===\n\n";
   common::TextTable fast_table({"Shards", "Seconds", "Examples/sec",
                                 "Speedup", "p50 ms", "p95 ms", "p99 ms",
                                 "Busy %", "Q-wait ms"});
@@ -1186,8 +1075,8 @@ int main(int argc, char** argv) {
     net_table.Print(std::cout);
   }
 
-  WriteJson(json_path, n_streams, examples, window, settle_lag, workers,
-            batch_size, baseline, sharded_1w, sharded, sweep, shard_sweep,
+  WriteJson(json_path, n_streams, examples, window, settle_lag, batch_size,
+            baseline, shard_sweep,
             facade_enabled ? &facade_result : nullptr, facade_shards,
             facade_templated.run.examples_per_sec, facade_overhead, tracing,
             saturation_shards, saturation_capacity, shed_floor, saturation,

@@ -23,7 +23,7 @@
 #include "common/table.hpp"
 #include "ecg/ecg.hpp"
 #include "loop/improvement_loop.hpp"
-#include "runtime/service.hpp"
+#include "runtime/sharded_service.hpp"
 #include "video/assertions.hpp"
 #include "video/detector.hpp"
 #include "video/pipeline.hpp"
@@ -110,14 +110,11 @@ void RunVideoLoop(std::size_t rounds, std::uint64_t seed) {
       std::make_shared<loop::MixedOracle>(human, weak), detector.model(),
       pretrain);
 
-  runtime::RuntimeConfig service_config;
-  service_config.workers = 2;
-  service_config.window = 48;
-  service_config.settle_lag = 8;
-  runtime::MonitorService<video::VideoExample> service(service_config, [] {
+  using VideoService = runtime::ShardedMonitorService<video::VideoExample>;
+  VideoService service({.shards = 2, .window = 48, .settle_lag = 8}, [] {
     auto built =
         std::make_shared<video::VideoSuite>(video::BuildVideoSuite());
-    return runtime::MonitorService<video::VideoExample>::SuiteBundle{
+    return VideoService::SuiteBundle{
         std::shared_ptr<core::AssertionSuite<video::VideoExample>>(
             built, &built->suite),
         [built] { built->consistency->Invalidate(); }};
@@ -212,13 +209,10 @@ void RunEcgLoop(std::size_t rounds, std::uint64_t seed) {
         return confidences;
       });
 
-  runtime::RuntimeConfig service_config;
-  service_config.workers = 2;
-  service_config.window = 80;
-  service_config.settle_lag = 8;
-  runtime::MonitorService<ecg::EcgExample> service(service_config, [] {
+  using EcgService = runtime::ShardedMonitorService<ecg::EcgExample>;
+  EcgService service({.shards = 2, .window = 80, .settle_lag = 8}, [] {
     auto built = std::make_shared<ecg::EcgSuite>(ecg::BuildEcgSuite());
-    return runtime::MonitorService<ecg::EcgExample>::SuiteBundle{
+    return EcgService::SuiteBundle{
         std::shared_ptr<core::AssertionSuite<ecg::EcgExample>>(
             built, &built->suite),
         [built] { built->consistency->Invalidate(); }};

@@ -13,8 +13,8 @@
 // can affect (pointwise assertions cost O(1) amortized per example);
 // assertions without a declared radius — e.g. consistency-generated ones —
 // re-score the whole window as the seed monitor did. For the multi-stream,
-// multi-threaded serving runtime built on the same evaluator, see
-// runtime/service.hpp.
+// multi-threaded serving engine built on the same evaluator, see
+// runtime/sharded_service.hpp.
 #pragma once
 
 #include <functional>

@@ -1,6 +1,6 @@
 // EventSink bridging the serving runtime into the improvement loop.
 //
-// Plugged into a MonitorService or ShardedMonitorService via AddSink, the
+// Plugged into a ShardedMonitorService (or serve::Monitor) via AddSink, the
 // collector turns every assertion firing into a FlagStore record: the
 // event's (stream, example) identity becomes the candidate key and the
 // assertion name is mapped to its severity-matrix column. This is the arrow

@@ -5,7 +5,7 @@
 // a benchmark pool but whatever the runtime flagged recently. The FlagStore
 // is that set: a thread-safe, capacity-bounded pool of flagged candidates
 // fed by a FlagCollectorSink (flag_collector.hpp) hanging off the
-// MonitorService, and snapshotted by the RoundScheduler into the
+// serving engine, and snapshotted by the RoundScheduler into the
 // bandit::RoundContext a SelectionStrategy expects.
 //
 // Capacity policy: when full, admission competes on severity rank — the

@@ -58,7 +58,9 @@ struct ShardedRuntimeConfig {
   /// Sliding-window length per stream (examples assertions can see).
   std::size_t window = 64;
   /// How far behind the stream head an example must be before its verdict
-  /// is emitted; must stay below `window` (see RuntimeConfig::settle_lag).
+  /// is emitted; must exceed every bounded assertion's temporal radius for
+  /// verdicts to be final, and stay below `window` so a verdict settles
+  /// inside the window.
   std::size_t settle_lag = 8;
   /// Maximum examples queued per shard (summed over queued batches). A
   /// single batch larger than this is rejected outright.
@@ -85,7 +87,7 @@ struct ShardedRuntimeConfig {
   /// events on their lanes and admission losses / flushes land on the
   /// control lane (see obs/tracer.hpp). Must have at least `shards` shard
   /// lanes; null disables tracing entirely.
-  std::shared_ptr<obs::Tracer> tracer;
+  std::shared_ptr<obs::Tracer> tracer = nullptr;
 
   /// Throws CheckError on invalid combinations (0 shards would never drain
   /// and deadlock Flush; settle_lag >= window could never settle; a

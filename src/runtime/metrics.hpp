@@ -12,8 +12,6 @@
 // latency histogram of the serving shard it mirrors). Stream id `i` lives in
 // cell `i % shards` — the same partition the ShardedMonitorService uses — so
 // recording from distinct serving shards never contends on a shared lock.
-// Default construction keeps the legacy single-cell behavior MonitorService
-// relies on.
 #pragma once
 
 #include <cstddef>
@@ -136,8 +134,7 @@ struct MetricsSnapshot {
   std::vector<StreamMetrics> streams;
   /// Per-assertion aggregates across all streams.
   std::map<std::string, AssertionMetrics> assertions;
-  /// Per-serving-shard counters; empty for registries constructed in legacy
-  /// (unsharded) mode.
+  /// Per-serving-shard counters, one per shard in shard order.
   std::vector<ShardMetrics> shards;
   /// Free-form named counters recorded via RecordNamed. The net layer folds
   /// per-tenant wire accounting here under "tenant/<id>/<outcome>" keys;
@@ -147,53 +144,40 @@ struct MetricsSnapshot {
   /// Service-wide flags per observed example for one assertion.
   double FlaggedRate(const std::string& assertion) const;
 
-  /// Sums over `shards` (0 when unsharded).
+  /// Sums over `shards`.
   std::size_t TotalDroppedExamples() const;
   std::size_t TotalShedExamples() const;
   std::size_t TotalErroredExamples() const;
 
-  /// All shards' latency histograms merged (empty histogram when unsharded).
+  /// All shards' latency histograms merged.
   LatencyHistogram MergedLatency() const;
 };
 
 /// Thread-safe metrics accumulator shared by all shards.
 class MetricsRegistry {
  public:
-  /// Legacy mode: one internal cell, no shard counters (what MonitorService
-  /// uses; Snapshot().shards stays empty).
-  MetricsRegistry();
-
-  /// Sharded mode: `shards` cells, stream id i recorded under cell
-  /// i % shards, Snapshot().shards carries one ShardMetrics per shard.
+  /// `shards` cells (>= 1), stream id i recorded under cell i % shards;
+  /// Snapshot().shards carries one ShardMetrics per shard.
   explicit MetricsRegistry(std::size_t shards);
 
   /// Allocates the slot for `id` (idempotent per id, names must agree).
   void RegisterStream(StreamId id, std::string_view name);
 
-  /// Folds one ingested batch into stream `id`'s aggregates.
-  void RecordBatch(StreamId id, std::size_t examples,
-                   std::span<const StreamEvent> events);
-
-  /// Folds one scored batch into shard `shard`'s counters (sharded mode
-  /// only): examples/events processed and the batch's observe-to-flag
-  /// latency sample.
-  void RecordShardBatch(std::size_t shard, std::size_t examples,
-                        std::size_t events, double latency_seconds);
-
-  /// RecordBatch + RecordShardBatch fused: stream `id` lives in shard
-  /// `shard`'s cell (the service pins id % shards == shard), so one lock
-  /// acquisition updates both the stream and the shard aggregates — the
-  /// per-scored-batch fast path of the sharded service. The trailing
-  /// nanosecond arguments fold the batch's occupancy deltas (queue wait,
-  /// scoring time, worker idle before the dequeue) into the same lock.
+  /// Folds one scored batch into stream `id`'s aggregates and shard
+  /// `shard`'s counters (examples/events processed and the batch's
+  /// observe-to-flag latency sample). Stream `id` lives in shard `shard`'s
+  /// cell (the service pins id % shards == shard), so one lock acquisition
+  /// updates both. The trailing nanosecond arguments fold the batch's
+  /// occupancy deltas (queue wait, scoring time, worker idle before the
+  /// dequeue) into the same lock.
   void RecordScoredBatch(StreamId id, std::size_t shard, std::size_t examples,
                          std::span<const StreamEvent> events,
                          double latency_seconds,
                          std::uint64_t queue_wait_ns = 0,
                          std::uint64_t busy_ns = 0, std::uint64_t idle_ns = 0);
 
-  /// Counts a batch whose scoring threw (sharded mode only). A poisoned
-  /// batch still consumed the worker, so it carries occupancy deltas too.
+  /// Counts a batch whose scoring threw. A poisoned batch still consumed
+  /// the worker, so it carries occupancy deltas too.
   void RecordError(std::size_t shard, std::size_t batches,
                    std::size_t examples, std::uint64_t queue_wait_ns = 0,
                    std::uint64_t busy_ns = 0, std::uint64_t idle_ns = 0);
@@ -204,24 +188,24 @@ class MetricsRegistry {
     kShed,     ///< refused at admission (kShedBelowSeverity)
   };
 
-  /// Counts `batches`/`examples` lost on shard `shard` (sharded mode only).
+  /// Counts `batches`/`examples` lost on shard `shard`.
   void RecordLoss(std::size_t shard, std::size_t batches, std::size_t examples,
                   LossKind kind);
 
   /// Counts work taken *from* `victim_shard`'s queue by another worker
-  /// (sharded mode only; victim-side `stolen_batches`/`stolen_examples`).
+  /// (victim-side `stolen_batches`/`stolen_examples`).
   void RecordSteal(std::size_t victim_shard, std::size_t batches,
                    std::size_t examples);
 
   /// Folds a thief worker's occupancy into *its own* shard's counters:
   /// `steal_ns` of foreign-batch scoring plus the `idle_ns` the worker
-  /// accumulated before the steal (sharded mode only). The scored batch's
-  /// stream/latency aggregates go to the victim cell via RecordScoredBatch
-  /// with zero busy/idle, keeping the two cells' time disjoint.
+  /// accumulated before the steal. The scored batch's stream/latency
+  /// aggregates go to the victim cell via RecordScoredBatch with zero
+  /// busy/idle, keeping the two cells' time disjoint.
   void RecordStealWork(std::size_t thief_shard, std::uint64_t steal_ns,
                        std::uint64_t idle_ns);
 
-  /// Updates shard `shard`'s queue-depth gauge and peak (sharded mode only).
+  /// Updates shard `shard`'s queue-depth gauge and peak.
   void RecordQueueDepth(std::size_t shard, std::size_t depth);
 
   /// Adds `delta` to the free-form counter `key` (creating it at zero).
@@ -244,7 +228,6 @@ class MetricsRegistry {
   Cell& CellOf(StreamId id);
   Cell& ShardCell(std::size_t shard);
 
-  bool sharded_;
   std::vector<std::unique_ptr<Cell>> cells_;
 
   mutable Mutex named_mutex_;

@@ -1,10 +1,11 @@
-// The sharded, backpressure-aware serving fast path.
-//
-// MonitorService (service.hpp) funnels every stream through one ThreadPool
-// with unbounded FIFO queues and a shared stream table — fine for
-// benchmarks, fatal under sustained overload: memory grows without bound
-// and every Observe crosses a service-wide mutex. ShardedMonitorService
-// rebuilds the hot path for that regime:
+// The assertion-serving engine (§2.3 at production scale): many concurrent
+// streams monitored by one sharded, backpressure-aware service. It is the
+// only serving engine — serve::Monitor, the network front end, replay and
+// the improvement loop all run on it — and its flags equal the per-example
+// reference core::StreamingMonitor's for every shard count, batching and
+// stealing setting. Queues are bounded and admission is explicit, so
+// sustained overload degrades by a counted policy instead of unbounded
+// memory growth:
 //
 //   producers ──ObserveBatch──► bounded MPSC queue ─► shard worker 0
 //              (admission policy:  bounded MPSC queue ─► shard worker 1
@@ -67,7 +68,6 @@
 #include "obs/tracer.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/event_sink.hpp"
-#include "runtime/incremental.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/stream_registry.hpp"
 #include "runtime/suite_bundle.hpp"
@@ -84,8 +84,8 @@ namespace omg::runtime {
 template <typename Example>
 class ShardedMonitorService {
  public:
-  /// One stream's private suite plus its invalidation hook (shared with
-  /// MonitorService — see runtime/suite_bundle.hpp).
+  /// One stream's private suite plus its invalidation hook (see
+  /// runtime/suite_bundle.hpp).
   using SuiteBundle = runtime::SuiteBundle<Example>;
   /// Builds one stream's SuiteBundle; called once per RegisterStream.
   using SuiteFactory = runtime::SuiteFactory<Example>;
@@ -151,11 +151,16 @@ class ShardedMonitorService {
     // append must be atomic together, or two concurrent registrations
     // could append out of id order.
     MutexLock lock(registration_mutex_);
+    // Vet the bundle and build its scorer before the registry or the
+    // metrics see the name: a rejected bundle must leave both untouched,
+    // or the registry would run one id ahead of the stream table.
+    common::Check(bundle.suite != nullptr, "suite factory returned null");
+    std::unique_ptr<StreamScorer<Example>> scorer = MakeScorer(bundle);
     const StreamId id = registry_.Register(std::move(name));
     metrics_->RegisterStream(id, registry_.Name(id));
-    common::Check(bundle.suite != nullptr, "suite factory returned null");
-    auto state = std::make_unique<StreamState>(id, registry_.Name(id),
-                                               std::move(bundle), config_);
+    auto state = std::make_unique<StreamState>(
+        id, registry_.Name(id), id % config_.shards, std::move(bundle),
+        std::move(scorer));
     state->home_mutex = &shards_[state->shard]->mutex;
     auto table = std::make_shared<std::vector<StreamState*>>(
         streams_.load() ? *streams_.load() : std::vector<StreamState*>{});
@@ -353,21 +358,14 @@ class ShardedMonitorService {
   /// One registered stream: its suite bundle and scorer, driven by exactly
   /// one worker at a time (the claimed-stream protocol below).
   struct StreamState {
-    StreamState(StreamId id, std::string_view name, SuiteBundle bundle_in,
-                const ShardedRuntimeConfig& config)
+    StreamState(StreamId id, std::string_view name, std::size_t shard,
+                SuiteBundle bundle,
+                std::unique_ptr<StreamScorer<Example>> scorer)
         : id(id),
           name(name),
-          shard(id % config.shards),
-          bundle(std::move(bundle_in)) {
-      const StreamScorerParams params{config.window, config.settle_lag};
-      if (bundle.scorer) {
-        scorer = bundle.scorer(params);
-        common::Check(scorer != nullptr, "scorer factory returned null");
-      } else {
-        scorer = std::make_unique<DefaultStreamScorer<Example>>(
-            bundle.suite, bundle.invalidate, params);
-      }
-    }
+          shard(shard),
+          bundle(std::move(bundle)),
+          scorer(std::move(scorer)) {}
 
     StreamId id;
     std::string_view name;  // owned by the registry
@@ -445,6 +443,19 @@ class ShardedMonitorService {
     std::vector<QueueItem> items;
     std::size_t examples = 0;
   };
+
+  /// The bundle's own scorer, or the default scorer over its suite.
+  std::unique_ptr<StreamScorer<Example>> MakeScorer(
+      const SuiteBundle& bundle) const {
+    const StreamScorerParams params{config_.window, config_.settle_lag};
+    if (!bundle.scorer) {
+      return std::make_unique<DefaultStreamScorer<Example>>(
+          bundle.suite, bundle.invalidate, params);
+    }
+    auto scorer = bundle.scorer(params);
+    common::Check(scorer != nullptr, "scorer factory returned null");
+    return scorer;
+  }
 
   StreamState* State(StreamId id) {
     const auto table = streams_.load();

@@ -24,7 +24,7 @@
 #include "loop/improvement_loop.hpp"
 #include "nn/mlp.hpp"
 #include "nn/trainer.hpp"
-#include "runtime/service.hpp"
+#include "runtime/sharded_service.hpp"
 
 namespace omg::loop {
 namespace {
@@ -333,16 +333,13 @@ TEST(RetrainWorker, HotSwapsWhileIngestionContinues) {
   struct Tick {
     double value = 0.0;
   };
-  runtime::RuntimeConfig service_config;
-  service_config.workers = 2;
-  service_config.window = 8;
-  service_config.settle_lag = 1;
-  runtime::MonitorService<Tick> service(service_config, [] {
+  using Service = runtime::ShardedMonitorService<Tick>;
+  Service service({.shards = 2, .window = 8, .settle_lag = 1}, [] {
     auto suite = std::make_shared<core::AssertionSuite<Tick>>();
     suite->AddPointwise("positive", [](const Tick& tick) {
       return tick.value > 0.0 ? tick.value : 0.0;
     });
-    return runtime::MonitorService<Tick>::SuiteBundle{suite, {}};
+    return Service::SuiteBundle{suite, {}};
   });
   const runtime::StreamId id = service.RegisterStream("live");
 
@@ -451,18 +448,15 @@ TEST(ImprovementLoop, ReducesFlaggedRateAcrossLiveBalRounds) {
           bandit::BalConfig{}, std::make_unique<bandit::RandomStrategy>()),
       oracle, PretrainCorrupted(5));
 
-  runtime::RuntimeConfig service_config;
-  service_config.workers = 2;
-  service_config.window = 16;
-  service_config.settle_lag = 1;
-  runtime::MonitorService<Point> service(service_config, [] {
+  using Service = runtime::ShardedMonitorService<Point>;
+  Service service({.shards = 2, .window = 16, .settle_lag = 1}, [] {
     auto suite = std::make_shared<core::AssertionSuite<Point>>();
     suite->AddPointwise("disagree", [](const Point& point) {
       const bool truth = TrueClass(point.features);
       const bool agree = (point.predicted == 1) == truth;
       return agree ? 0.0 : 0.5 + std::abs(point.features[0]);
     });
-    return runtime::MonitorService<Point>::SuiteBundle{suite, {}};
+    return Service::SuiteBundle{suite, {}};
   });
   service.AddSink(loop.sink());
   const runtime::StreamId id = service.RegisterStream("live");

@@ -1,24 +1,19 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <sstream>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/assertion.hpp"
+#include "core/incremental.hpp"
 #include "core/monitor.hpp"
 #include "runtime/event_sink.hpp"
-#include "runtime/incremental.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/service.hpp"
 #include "runtime/stream_registry.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace omg::runtime {
 namespace {
@@ -103,50 +98,6 @@ std::vector<Firing> SettledBatchFirings(std::span<const Tick> stream,
   return firings;
 }
 
-// ------------------------------------------------------------ ThreadPool ---
-
-TEST(ThreadPool, ExecutesEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit(static_cast<std::size_t>(i), [&] { ++done; });
-  }
-  pool.Drain();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPool, SameShardRunsInFifoOrder) {
-  ThreadPool pool(3);
-  std::vector<int> order;  // only shard 1 writes, single worker => no race
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit(1, [&order, i] { order.push_back(i); });
-  }
-  pool.Drain();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, DistinctShardsRunConcurrently) {
-  // Two tasks that each wait for the other's side-effect would deadlock if
-  // the pool serialized shards; give them a shared rendezvous instead.
-  ThreadPool pool(2);
-  std::atomic<int> arrived{0};
-  for (int shard = 0; shard < 2; ++shard) {
-    pool.Submit(static_cast<std::size_t>(shard), [&] {
-      ++arrived;
-      while (arrived.load() < 2) std::this_thread::yield();
-    });
-  }
-  pool.Drain();
-  EXPECT_EQ(arrived.load(), 2);
-}
-
-TEST(ThreadPool, RejectsZeroWorkersAndNullTasks) {
-  EXPECT_THROW(ThreadPool(0), common::CheckError);
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.Submit(0, ThreadPool::Task{}), common::CheckError);
-}
-
 // ------------------------------------------- IncrementalWindowEvaluator ---
 
 TEST(IncrementalEvaluator, MatchesBatchForAnyChunking) {
@@ -161,7 +112,7 @@ TEST(IncrementalEvaluator, MatchesBatchForAnyChunking) {
   for (const std::size_t batch_size : {1ul, 3ul, 7ul, 50ul, n}) {
     core::AssertionSuite<Tick> suite;
     PopulateSuite(suite, true);
-    IncrementalWindowEvaluator<Tick> evaluator(
+    core::IncrementalWindowEvaluator<Tick> evaluator(
         suite, {/*window=*/n + 8, settle_lag, {}});
     const auto names = suite.Names();
     std::vector<Firing> got;
@@ -191,7 +142,7 @@ TEST(IncrementalEvaluator, SlidingWindowExactForBoundedAssertions) {
   for (const std::size_t batch_size : {1ul, 5ul, 64ul}) {
     core::AssertionSuite<Tick> suite;
     PopulateSuite(suite, false);
-    IncrementalWindowEvaluator<Tick> evaluator(suite,
+    core::IncrementalWindowEvaluator<Tick> evaluator(suite,
                                                {/*window=*/16, settle_lag, {}});
     const auto names = suite.Names();
     std::vector<Firing> got;
@@ -212,7 +163,7 @@ TEST(IncrementalEvaluator, InvokesInvalidationHookForUnboundedOnly) {
   core::AssertionSuite<Tick> bounded_suite;
   PopulateSuite(bounded_suite, false);
   std::size_t hook_calls = 0;
-  IncrementalWindowEvaluator<Tick> bounded_eval(
+  core::IncrementalWindowEvaluator<Tick> bounded_eval(
       bounded_suite, {8, 2, [&] { ++hook_calls; }});
   for (int i = 0; i < 5; ++i) bounded_eval.Observe(Tick{0.0}, [](auto...) {});
   // The first chunk primes the bounded columns with one full-window pass.
@@ -220,7 +171,7 @@ TEST(IncrementalEvaluator, InvokesInvalidationHookForUnboundedOnly) {
 
   core::AssertionSuite<Tick> unbounded_suite;
   PopulateSuite(unbounded_suite, true);
-  IncrementalWindowEvaluator<Tick> unbounded_eval(
+  core::IncrementalWindowEvaluator<Tick> unbounded_eval(
       unbounded_suite, {8, 2, [&] { ++hook_calls; }});
   for (int i = 0; i < 5; ++i) {
     unbounded_eval.Observe(Tick{0.0}, [](auto...) {});
@@ -243,7 +194,7 @@ TEST(IncrementalEvaluator, EmitsLateFiringsDiscoveredAfterSettling) {
     }
     return severities;
   });
-  IncrementalWindowEvaluator<Tick> evaluator(suite,
+  core::IncrementalWindowEvaluator<Tick> evaluator(suite,
                                              {/*window=*/16,
                                               /*settle_lag=*/1, {}});
   std::vector<Firing> got;
@@ -263,16 +214,16 @@ TEST(IncrementalEvaluator, RejectsNonFiniteSeverity) {
     return std::vector<double>(stream.size(),
                                std::numeric_limits<double>::infinity());
   });
-  IncrementalWindowEvaluator<Tick> evaluator(suite, {8, 1, {}});
+  core::IncrementalWindowEvaluator<Tick> evaluator(suite, {8, 1, {}});
   EXPECT_THROW(evaluator.Observe(Tick{1.0}, [](auto...) {}),
                common::CheckError);
 }
 
 TEST(IncrementalEvaluator, ValidatesConfig) {
   core::AssertionSuite<Tick> suite;
-  EXPECT_THROW(IncrementalWindowEvaluator<Tick>(suite, {2, 2, {}}),
+  EXPECT_THROW(core::IncrementalWindowEvaluator<Tick>(suite, {2, 2, {}}),
                common::CheckError);
-  EXPECT_THROW(IncrementalWindowEvaluator<Tick>(suite, {0, 0, {}}),
+  EXPECT_THROW(core::IncrementalWindowEvaluator<Tick>(suite, {0, 0, {}}),
                common::CheckError);
 }
 
@@ -340,16 +291,22 @@ TEST(StreamRegistry, AssignsDenseIdsAndRejectsDuplicates) {
 // --------------------------------------------------------- MetricsRegistry ---
 
 TEST(MetricsRegistry, ExposesPerAssertionFlaggedRate) {
-  MetricsRegistry metrics;
+  MetricsRegistry metrics(2);
   metrics.RegisterStream(0, "a");
   metrics.RegisterStream(1, "b");
   const std::vector<StreamEvent> events_a = {{0, "a", 1, "x", 1.0},
                                              {0, "a", 2, "x", 1.0},
                                              {0, "a", 3, "y", 2.0}};
-  metrics.RecordBatch(0, 10, events_a);
-  metrics.RecordBatch(1, 10, {});
+  metrics.RecordScoredBatch(0, 0, 10, events_a, 0.001);
+  metrics.RecordScoredBatch(1, 1, 10, {}, 0.001);
 
   const MetricsSnapshot snapshot = metrics.Snapshot();
+  // Stream i lives in shard i % 2: each shard folded one batch.
+  ASSERT_EQ(snapshot.shards.size(), 2u);
+  EXPECT_EQ(snapshot.shards[0].examples, 10u);
+  EXPECT_EQ(snapshot.shards[0].events, 3u);
+  EXPECT_EQ(snapshot.shards[1].examples, 10u);
+  EXPECT_EQ(snapshot.shards[1].events, 0u);
   // Stream "a": x fired twice over 10 examples.
   EXPECT_DOUBLE_EQ(snapshot.streams[0].FlaggedRate("x"), 0.2);
   EXPECT_DOUBLE_EQ(snapshot.streams[0].FlaggedRate("y"), 0.1);
@@ -362,17 +319,28 @@ TEST(MetricsRegistry, ExposesPerAssertionFlaggedRate) {
 }
 
 TEST(MetricsRegistry, AggregatesAcrossStreams) {
-  MetricsRegistry metrics;
+  MetricsRegistry metrics(2);
   metrics.RegisterStream(0, "a");
   metrics.RegisterStream(1, "b");
   const std::vector<StreamEvent> events_a = {{0, "a", 3, "x", 2.0},
                                              {0, "a", 4, "y", 1.0}};
   const std::vector<StreamEvent> events_b = {{1, "b", 0, "x", 5.0}};
-  metrics.RecordBatch(0, 10, events_a);
-  metrics.RecordBatch(1, 7, events_b);
-  metrics.RecordBatch(0, 5, {});
+  metrics.RecordScoredBatch(0, 0, 10, events_a, 0.001);
+  metrics.RecordScoredBatch(1, 1, 7, events_b, 0.001);
+  metrics.RecordScoredBatch(0, 0, 5, {}, 0.001);
+  // A stream is recorded only under its own shard (id % shards).
+  EXPECT_THROW(metrics.RecordScoredBatch(0, 1, 1, {}, 0.001),
+               common::CheckError);
 
   const MetricsSnapshot snapshot = metrics.Snapshot();
+  // The per-shard fold: stream "a" (shard 0) two batches, "b" (shard 1) one.
+  ASSERT_EQ(snapshot.shards.size(), 2u);
+  EXPECT_EQ(snapshot.shards[0].batches, 2u);
+  EXPECT_EQ(snapshot.shards[0].examples, 15u);
+  EXPECT_EQ(snapshot.shards[0].events, 2u);
+  EXPECT_EQ(snapshot.shards[1].batches, 1u);
+  EXPECT_EQ(snapshot.shards[1].examples, 7u);
+  EXPECT_EQ(snapshot.shards[1].events, 1u);
   EXPECT_EQ(snapshot.examples_seen, 22u);
   EXPECT_EQ(snapshot.events, 3u);
   ASSERT_EQ(snapshot.streams.size(), 2u);
@@ -415,267 +383,6 @@ TEST(Sinks, CountingAndCollectingAgree) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].stream, "s");
   EXPECT_EQ(events[0].assertion, "a");
-}
-
-// ---------------------------------------------------------- MonitorService ---
-
-MonitorService<Tick>::SuiteBundle MakeBundle(bool with_unbounded) {
-  auto suite = std::make_shared<core::AssertionSuite<Tick>>();
-  PopulateSuite(*suite, with_unbounded);
-  return {suite, {}};
-}
-
-/// Events of one stream as (index, assertion, severity), in arrival order.
-std::vector<Firing> StreamFirings(
-    const std::vector<CollectingSink::OwnedEvent>& events,
-    std::string_view stream) {
-  std::vector<Firing> firings;
-  for (const auto& event : events) {
-    if (event.stream == stream) {
-      firings.emplace_back(event.example_index, event.assertion,
-                           event.severity);
-    }
-  }
-  return firings;
-}
-
-TEST(MonitorService, StreamingEqualsBatchAcrossShardCountsAndBatchSizes) {
-  // The ISSUE's equivalence criterion: per stream, runtime events must
-  // equal AssertionSuite::CheckAll over the concatenated stream, for any
-  // shard count and any ingestion batch size.
-  const std::size_t n = 160;
-  const std::size_t kStreams = 5;
-  const std::size_t settle_lag = 4;
-
-  std::vector<std::vector<Tick>> streams;
-  std::vector<std::vector<Firing>> expected;
-  for (std::size_t s = 0; s < kStreams; ++s) {
-    streams.push_back(MakeStream(100 + s, n));
-    expected.push_back(SettledBatchFirings(streams[s], settle_lag, true));
-  }
-
-  for (const std::size_t workers : {1ul, 2ul, 4ul}) {
-    for (const std::size_t batch_size : {1ul, 17ul, 64ul}) {
-      RuntimeConfig config;
-      config.workers = workers;
-      config.window = n + 8;  // unbounded column must see the whole stream
-      config.settle_lag = settle_lag;
-      MonitorService<Tick> service(config, [] { return MakeBundle(true); });
-      auto sink = std::make_shared<CollectingSink>();
-      service.AddSink(sink);
-
-      std::vector<StreamId> ids;
-      for (std::size_t s = 0; s < kStreams; ++s) {
-        ids.push_back(service.RegisterStream("stream-" + std::to_string(s)));
-      }
-      // Interleave batches across streams, as concurrent producers would.
-      for (std::size_t begin = 0; begin < n; begin += batch_size) {
-        const std::size_t count = std::min(batch_size, n - begin);
-        for (std::size_t s = 0; s < kStreams; ++s) {
-          service.ObserveBatch(
-              ids[s], std::vector<Tick>(streams[s].begin() + begin,
-                                        streams[s].begin() + begin + count));
-        }
-      }
-      service.Flush();
-      EXPECT_TRUE(service.Errors().empty());
-
-      const auto events = sink->Events();
-      for (std::size_t s = 0; s < kStreams; ++s) {
-        EXPECT_EQ(StreamFirings(events, "stream-" + std::to_string(s)),
-                  expected[s])
-            << "workers=" << workers << " batch=" << batch_size
-            << " stream=" << s;
-      }
-      const MetricsSnapshot snapshot = service.Metrics();
-      EXPECT_EQ(snapshot.examples_seen, n * kStreams);
-      EXPECT_EQ(snapshot.events, events.size());
-    }
-  }
-}
-
-TEST(MonitorService, ConcurrentProducersIngestSafely) {
-  const std::size_t n = 400;
-  const std::size_t kStreams = 8;
-  const std::size_t settle_lag = 4;
-
-  RuntimeConfig config;
-  config.workers = 4;
-  config.window = 32;
-  config.settle_lag = settle_lag;
-  MonitorService<Tick> service(config, [] { return MakeBundle(false); });
-  auto counting = std::make_shared<CountingSink>();
-  auto collecting = std::make_shared<CollectingSink>();
-  service.AddSink(counting);
-  service.AddSink(collecting);
-
-  std::vector<StreamId> ids;
-  std::vector<std::vector<Tick>> streams;
-  for (std::size_t s = 0; s < kStreams; ++s) {
-    ids.push_back(service.RegisterStream("p-" + std::to_string(s)));
-    streams.push_back(MakeStream(500 + s, n));
-  }
-
-  // Four producer threads, two streams each, batching 25 examples a call.
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::size_t begin = 0; begin < n; begin += 25) {
-        for (const std::size_t s : {2 * p, 2 * p + 1}) {
-          service.ObserveBatch(
-              ids[s], std::vector<Tick>(streams[s].begin() + begin,
-                                        streams[s].begin() + begin + 25));
-        }
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-  service.Flush();
-  EXPECT_TRUE(service.Errors().empty());
-
-  const MetricsSnapshot snapshot = service.Metrics();
-  EXPECT_EQ(snapshot.examples_seen, n * kStreams);
-  EXPECT_EQ(counting->count(), snapshot.events);
-
-  const auto events = collecting->Events();
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < kStreams; ++s) {
-    const auto got = StreamFirings(events, "p-" + std::to_string(s));
-    EXPECT_EQ(got, SettledBatchFirings(streams[s], settle_lag, false))
-        << "stream " << s;
-    total += got.size();
-  }
-  EXPECT_EQ(total, snapshot.events);
-}
-
-TEST(MonitorService, ThrowingAssertionPoisonsBatchNotService) {
-  RuntimeConfig config;
-  config.workers = 2;
-  config.window = 8;
-  config.settle_lag = 1;
-  MonitorService<Tick> service(config, [] {
-    auto suite = std::make_shared<core::AssertionSuite<Tick>>();
-    suite->AddPointwise("explode", [](const Tick& t) {
-      common::Check(t.value < 9.0, "boom");
-      return 0.0;
-    });
-    return MonitorService<Tick>::SuiteBundle{suite, {}};
-  });
-  const StreamId bad = service.RegisterStream("bad");
-  const StreamId good = service.RegisterStream("good");
-  service.ObserveBatch(bad, {Tick{1.0}, Tick{10.0}});
-  service.ObserveBatch(good, {Tick{1.0}, Tick{2.0}, Tick{3.0}});
-  service.Flush();
-
-  const auto errors = service.Errors();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("bad"), std::string::npos);
-  EXPECT_EQ(service.Metrics().streams.at(good).examples_seen, 3u);
-}
-
-TEST(MonitorService, RejectsUnknownStreamAndNullSink) {
-  RuntimeConfig config;
-  config.workers = 1;
-  MonitorService<Tick> service(config, [] { return MakeBundle(false); });
-  EXPECT_THROW(service.Observe(0, Tick{}), common::CheckError);
-  EXPECT_THROW(service.AddSink(nullptr), common::CheckError);
-}
-
-TEST(MonitorService, ValidatesRuntimeConfig) {
-  const auto make = [] { return MakeBundle(false); };
-  RuntimeConfig bad;
-  bad.window = 16;
-  bad.settle_lag = 16;  // == window: verdicts could never settle
-  try {
-    MonitorService<Tick> service(bad, make);
-    FAIL() << "settle_lag >= window must be rejected";
-  } catch (const common::CheckError& error) {
-    EXPECT_NE(std::string(error.what()).find("settle_lag must be < window"),
-              std::string::npos);
-  }
-  bad.settle_lag = 32;  // > window
-  EXPECT_THROW(MonitorService<Tick>(bad, make), common::CheckError);
-  bad.settle_lag = 8;
-  bad.window = 0;
-  EXPECT_THROW(MonitorService<Tick>(bad, make), common::CheckError);
-}
-
-TEST(MonitorService, RejectsZeroWorkersBeforeBuildingThePool) {
-  // A 0-worker service used to reach the ThreadPool precondition; it must
-  // be caught by RuntimeConfig::Validate with a message explaining the
-  // Flush deadlock a 0-worker config would cause (nothing drains the
-  // queues), and a minimal 1-worker service must drain fine.
-  RuntimeConfig bad;
-  bad.workers = 0;
-  try {
-    MonitorService<Tick> service(bad, [] { return MakeBundle(false); });
-    FAIL() << "workers == 0 must be rejected";
-  } catch (const common::CheckError& error) {
-    EXPECT_NE(std::string(error.what()).find("workers must be >= 1"),
-              std::string::npos);
-    EXPECT_NE(std::string(error.what()).find("deadlock"), std::string::npos);
-  }
-  EXPECT_THROW(bad.Validate(), common::CheckError);
-
-  RuntimeConfig minimal;
-  minimal.workers = 1;
-  MonitorService<Tick> service(minimal, [] { return MakeBundle(false); });
-  const StreamId id = service.RegisterStream("solo");
-  service.ObserveBatch(id, MakeStream(3, 32));
-  service.Flush();  // must not deadlock
-  EXPECT_EQ(service.Metrics().streams.at(id).examples_seen, 32u);
-}
-
-TEST(MonitorService, RejectsReRegisteringAStreamName) {
-  RuntimeConfig config;
-  config.workers = 2;
-  MonitorService<Tick> service(config, [] { return MakeBundle(false); });
-  const StreamId id = service.RegisterStream("cam-0");
-  EXPECT_THROW(service.RegisterStream("cam-0"), common::CheckError);
-  // The failed registration must not corrupt the service: the original
-  // stream still ingests, and new names still register.
-  const StreamId other = service.RegisterStream("cam-1");
-  EXPECT_NE(id, other);
-  service.ObserveBatch(id, {Tick{0.1}, Tick{0.2}});
-  service.ObserveBatch(other, {Tick{0.3}});
-  service.Flush();
-  EXPECT_TRUE(service.Errors().empty());
-  EXPECT_EQ(service.Metrics().streams.at(id).examples_seen, 2u);
-  EXPECT_EQ(service.Metrics().streams.at(other).examples_seen, 1u);
-}
-
-TEST(MonitorService, ConcurrentObserveDuringFlushIsSafe) {
-  // Flush must tolerate producers that keep observing concurrently: every
-  // batch enqueued *before* a Flush call is accounted for, and the service
-  // ends consistent (examples counted once, no errors, no lost events).
-  const std::size_t kBatches = 60;
-  const std::size_t kBatchSize = 20;
-  RuntimeConfig config;
-  config.workers = 4;
-  config.window = 16;
-  config.settle_lag = 2;
-  MonitorService<Tick> service(config, [] { return MakeBundle(false); });
-  auto counting = std::make_shared<CountingSink>();
-  service.AddSink(counting);
-  const StreamId id = service.RegisterStream("hot");
-
-  const auto stream = MakeStream(77, kBatches * kBatchSize);
-  std::thread producer([&] {
-    for (std::size_t b = 0; b < kBatches; ++b) {
-      service.ObserveBatch(
-          id, std::vector<Tick>(stream.begin() + b * kBatchSize,
-                                stream.begin() + (b + 1) * kBatchSize));
-    }
-  });
-  // Flush repeatedly while the producer races.
-  for (int i = 0; i < 20; ++i) service.Flush();
-  producer.join();
-  service.Flush();  // all batches are enqueued now: full accounting
-
-  EXPECT_TRUE(service.Errors().empty());
-  const MetricsSnapshot snapshot = service.Metrics();
-  EXPECT_EQ(snapshot.examples_seen, kBatches * kBatchSize);
-  EXPECT_EQ(snapshot.events, counting->count());
 }
 
 }  // namespace

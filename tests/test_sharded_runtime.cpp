@@ -1,8 +1,11 @@
-// The sharded backpressure-aware fast path: equivalence with batch scoring,
-// bounded-queue admission policies, per-shard metrics, and concurrent
-// Observe/Flush/hot-swap (the TSan job runs this binary).
+// The serving engine: equivalence with batch scoring and the per-example
+// reference monitor, bounded-queue admission policies, per-shard metrics,
+// registration failures, and concurrent Observe/Flush/hot-swap and blocked
+// producers (the TSan job runs this binary).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -15,6 +18,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/assertion.hpp"
+#include "core/monitor.hpp"
 #include "loop/model_registry.hpp"
 #include "nn/mlp.hpp"
 #include "runtime/admission.hpp"
@@ -71,6 +75,24 @@ std::vector<Firing> SettledBatchFirings(std::span<const Tick> stream,
   return firings;
 }
 
+/// The per-example reference: the paper's StreamingMonitor fed one example
+/// at a time.
+std::vector<Firing> ReferenceFirings(const std::vector<Tick>& stream,
+                                     std::size_t window,
+                                     std::size_t settle_lag) {
+  core::AssertionSuite<Tick> suite;
+  PopulateSuite(suite);
+  core::StreamingMonitor<Tick> monitor(suite, window, settle_lag);
+  std::vector<Firing> firings;
+  for (const Tick& tick : stream) {
+    for (const core::MonitorEvent& event : monitor.Observe(tick)) {
+      firings.emplace_back(event.example_index, event.assertion,
+                           event.severity);
+    }
+  }
+  return firings;
+}
+
 ShardedMonitorService<Tick>::SuiteBundle MakeBundle() {
   auto suite = std::make_shared<core::AssertionSuite<Tick>>();
   PopulateSuite(*suite);
@@ -97,16 +119,22 @@ struct Gate {
   std::condition_variable cv;
   bool arrived = false;
   bool released = false;
+  std::size_t arrivals = 0;  ///< Arrive calls so far
 
   void Arrive() {
     std::unique_lock<std::mutex> lock(mutex);
     arrived = true;
+    ++arrivals;
     cv.notify_all();
     cv.wait(lock, [&] { return released; });
   }
   void AwaitArrival() {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return arrived; });
+  }
+  std::size_t Arrivals() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return arrivals;
   }
   void Release() {
     std::lock_guard<std::mutex> lock(mutex);
@@ -492,6 +520,16 @@ TEST(ShardedService, ValidatesConfigAndInputs) {
   bad = {};
   bad.shed_floor = -1.0;
   EXPECT_THROW(ShardedMonitorService<Tick>(bad, make), common::CheckError);
+  bad = {};
+  bad.window = 0;
+  bad.settle_lag = 0;
+  try {
+    ShardedMonitorService<Tick> service(bad, make);
+    FAIL() << "window == 0 must be rejected";
+  } catch (const common::CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("window must be >= 1"),
+              std::string::npos);
+  }
 
   ShardedRuntimeConfig config;
   config.queue_capacity = 4;
@@ -501,6 +539,69 @@ TEST(ShardedService, ValidatesConfigAndInputs) {
   const StreamId id = service.RegisterStream("s");
   EXPECT_THROW(service.ObserveBatch(id, std::vector<Tick>(5)),
                common::CheckError);  // batch larger than the queue
+}
+
+TEST(ShardedService, RejectsReRegisteringAStreamName) {
+  ShardedRuntimeConfig config;
+  config.shards = 2;
+  ShardedMonitorService<Tick> service(config, MakeBundle);
+  const StreamId id = service.RegisterStream("cam-0");
+  EXPECT_THROW(service.RegisterStream("cam-0"), common::CheckError);
+  // The failed registration must not corrupt the service: the original
+  // stream still ingests, and new names still register.
+  const StreamId other = service.RegisterStream("cam-1");
+  EXPECT_NE(id, other);
+  service.ObserveBatch(id, {Tick{0.1}, Tick{0.2}});
+  service.ObserveBatch(other, {Tick{0.3}});
+  service.Flush();
+  EXPECT_TRUE(service.Errors().empty());
+  EXPECT_EQ(service.Metrics().streams.at(id).examples_seen, 2u);
+  EXPECT_EQ(service.Metrics().streams.at(other).examples_seen, 1u);
+}
+
+TEST(ShardedService, RejectedBundleLeavesNoTrace) {
+  // A bundle is vetted and its scorer built before the registry or the
+  // metrics see the stream name, so a rejected registration leaves nothing
+  // behind: later streams get consistent ids and score normally.
+  ShardedRuntimeConfig config;
+  config.shards = 2;
+  config.window = 32;
+  config.settle_lag = 4;
+  ShardedMonitorService<Tick> service(config, MakeBundle);
+  EXPECT_THROW(service.RegisterStream("null-suite", {}), common::CheckError);
+  auto throwing = MakeBundle();
+  throwing.scorer = [](const StreamScorerParams&)
+      -> std::unique_ptr<StreamScorer<Tick>> {
+    common::Check(false, "scorer factory failed");
+    return nullptr;
+  };
+  EXPECT_THROW(service.RegisterStream("throwing-scorer", throwing),
+               common::CheckError);
+  auto null_scorer = MakeBundle();
+  null_scorer.scorer = [](const StreamScorerParams&) {
+    return std::unique_ptr<StreamScorer<Tick>>();
+  };
+  EXPECT_THROW(service.RegisterStream("null-scorer", null_scorer),
+               common::CheckError);
+  EXPECT_EQ(service.registry().size(), 0u);
+  EXPECT_TRUE(service.Metrics().streams.empty());
+
+  auto sink = std::make_shared<CollectingSink>();
+  service.AddSink(sink);
+  const StreamId good = service.RegisterStream("good");
+  const StreamId retry = service.RegisterStream("null-suite");  // name free
+  EXPECT_EQ(good, 0u);
+  EXPECT_EQ(retry, 1u);
+  const auto stream = MakeStream(7, 60);
+  service.ObserveBatch(good, stream);
+  service.ObserveBatch(retry, stream);
+  service.Flush();
+  EXPECT_TRUE(service.Errors().empty());
+  const auto events = sink->Events();
+  EXPECT_EQ(StreamFirings(events, "good"), SettledBatchFirings(stream, 4));
+  EXPECT_EQ(StreamFirings(events, "null-suite"),
+            SettledBatchFirings(stream, 4));
+  EXPECT_EQ(service.Metrics().examples_seen, 120u);
 }
 
 TEST(AdmissionPolicyNames, RoundTrip) {
@@ -594,6 +695,126 @@ TEST(ShardedService, ConcurrentObserveFlushAndHotSwapAreSafe) {
                 snapshot.TotalDroppedExamples(),
             2 * (600 / 20) * (kStreams / 2) * 20);
   EXPECT_EQ(snapshot.events, counting->count());
+}
+
+TEST(ShardedService, BlockedConcurrentProducersMatchTheReference) {
+  // Four producers feed eight streams under kBlock with queues two batches
+  // deep. Each stream's flags must equal the per-example reference
+  // monitor's: blocking admission, concurrent producers and stealing change
+  // scheduling, never verdicts. Without stealing, a gate holds every shard
+  // worker on its first batch until each producer sits in ObserveBatch on
+  // a full queue, so producers provably block; with stealing the same
+  // traffic runs unheld.
+  const std::size_t n = 400;
+  const std::size_t kStreams = 8;
+  const std::size_t kProducers = 4;
+  const std::size_t kShards = 4;
+  const std::size_t kBatch = 25;
+  const std::size_t window = 32;
+  const std::size_t settle_lag = 4;
+  std::vector<std::vector<Tick>> streams;
+  std::vector<std::vector<Firing>> expected;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    streams.push_back(MakeStream(500 + s, n));
+    expected.push_back(ReferenceFirings(streams[s], window, settle_lag));
+    ASSERT_EQ(expected.back(), SettledBatchFirings(streams[s], settle_lag));
+  }
+
+  for (const bool stealing : {false, true}) {
+    ShardedRuntimeConfig config;
+    config.shards = kShards;
+    config.window = window;
+    config.settle_lag = settle_lag;
+    config.queue_capacity = 2 * kBatch;
+    config.admission = AdmissionPolicy::kBlock;
+    config.stealing = stealing;
+    auto gate = std::make_shared<Gate>();
+    if (stealing) gate->Release();
+    ShardedMonitorService<Tick> service(config, [gate] {
+      auto suite = std::make_shared<core::AssertionSuite<Tick>>();
+      PopulateSuite(*suite);
+      suite->AddPointwise("gate", [gate](const Tick&) {
+        gate->Arrive();  // returns at once after Release()
+        return 0.0;      // never fires
+      });
+      return ShardedMonitorService<Tick>::SuiteBundle{suite, {}};
+    });
+    auto counting = std::make_shared<CountingSink>();
+    auto collecting = std::make_shared<CollectingSink>();
+    service.AddSink(counting);
+    service.AddSink(collecting);
+    std::vector<StreamId> ids;
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      ids.push_back(service.RegisterStream("p-" + std::to_string(s)));
+    }
+
+    // Per producer: inside ObserveBatch, and into which shard; per shard:
+    // examples whose ObserveBatch returned.
+    std::array<std::atomic<bool>, kProducers> observing{};
+    std::array<std::atomic<std::size_t>, kProducers> target{};
+    std::array<std::atomic<std::size_t>, kShards> admitted{};
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::size_t begin = 0; begin < n; begin += kBatch) {
+          for (const std::size_t s : {2 * p, 2 * p + 1}) {
+            target[p] = s % kShards;
+            observing[p] = true;
+            service.ObserveBatch(
+                ids[s], std::vector<Tick>(streams[s].begin() + begin,
+                                          streams[s].begin() + begin + kBatch));
+            observing[p] = false;
+            admitted[s % kShards] += kBatch;
+          }
+        }
+      });
+    }
+    if (!stealing) {
+      // Once every worker holds exactly one batch at the gate, a shard's
+      // queue holds admitted - kBatch examples and only grows, so it has no
+      // room for another batch once admitted > capacity; a producer
+      // observing into such a shard is blocked. `admitted` may lag, which
+      // only delays the verdict.
+      const auto all_blocked = [&] {
+        if (gate->Arrivals() < kShards) return false;
+        for (std::size_t p = 0; p < kProducers; ++p) {
+          if (!observing[p] || admitted[target[p]] <= config.queue_capacity) {
+            return false;
+          }
+        }
+        return true;
+      };
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      bool blocked = false;
+      while (!(blocked = all_blocked()) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      gate->Release();
+      EXPECT_TRUE(blocked) << "producers never blocked on a full queue";
+    }
+    for (auto& producer : producers) producer.join();
+    service.Flush();
+    EXPECT_TRUE(service.Errors().empty());
+
+    const MetricsSnapshot snapshot = service.Metrics();
+    EXPECT_EQ(snapshot.examples_seen, n * kStreams);
+    EXPECT_EQ(snapshot.TotalShedExamples() + snapshot.TotalDroppedExamples(),
+              0u);
+    for (const ShardMetrics& shard : snapshot.shards) {
+      EXPECT_LE(shard.queue_depth_peak, config.queue_capacity);
+    }
+    EXPECT_EQ(counting->count(), snapshot.events);
+    const auto events = collecting->Events();
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      const auto got = StreamFirings(events, "p-" + std::to_string(s));
+      EXPECT_EQ(got, expected[s]) << "stealing=" << stealing << " stream=" << s;
+      total += got.size();
+    }
+    EXPECT_EQ(total, snapshot.events);
+  }
 }
 
 }  // namespace
