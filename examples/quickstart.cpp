@@ -8,8 +8,8 @@
 //
 // This file is the runnable companion of docs/ASSERTIONS.md — the guide's
 // snippets mirror the code below. For serving many streams through the
-// sharded runtime, see examples/runtime_serving.cpp and
-// docs/ARCHITECTURE.md.
+// sharded runtime, see examples/scenario_harness.cpp (declarative
+// configs/*.conf scenarios) and docs/ARCHITECTURE.md.
 //
 // Build & run:  ./examples/quickstart
 #include <iostream>

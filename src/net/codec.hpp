@@ -17,6 +17,7 @@
 // Monitor::ObserveBatch with no intermediate typed copies.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -49,6 +50,10 @@ struct PayloadCodec {
   /// Decodes one example from `in`, appending it to `out`. Returns false
   /// on malformed bytes, leaving `out`'s earlier entries intact.
   std::function<bool(WireReader&, std::vector<serve::AnyExample>&)> decode;
+  /// Fewest bytes one encoded example occupies. DecodeBatch rejects a
+  /// count the payload cannot hold at this size before reserving for it;
+  /// 0 bounds the count by kMaxExamplesPerFrame alone.
+  std::size_t min_example_bytes = 0;
 };
 
 /// Encodes `batch` (all of `codec`'s domain) as a DATA payload.
@@ -56,7 +61,8 @@ std::vector<std::uint8_t> EncodeBatch(
     const PayloadCodec& codec, std::span<const serve::AnyExample> batch);
 
 /// Decodes a DATA payload of exactly `count` examples. Typed errors:
-/// kMalformedPayload (bad bytes, trailing garbage, or an absurd count).
+/// kMalformedPayload (bad bytes, trailing garbage, or a count above
+/// kMaxExamplesPerFrame or more than the payload can hold).
 serve::Result<std::vector<serve::AnyExample>> DecodeBatch(
     const PayloadCodec& codec, std::span<const std::uint8_t> payload,
     std::uint32_t count);

@@ -1,8 +1,10 @@
 // The shipped domains' wire codecs (see net/codec.hpp for the contract).
 //
 // Encodings are flat little-endian field dumps in declaration order;
-// variable-length members carry a u32 count prefix. Counts are bounded
-// before allocation so a corrupted prefix cannot balloon the decoder.
+// variable-length members carry a u32 count prefix. A count is checked
+// against the bytes left (count x the entry's minimum encoded size) before
+// anything is sized by it, so a corrupted prefix cannot balloon the
+// decoder.
 #include "net/codec.hpp"
 
 #include <utility>
@@ -21,6 +23,13 @@ namespace {
 
 /// Most entries a nested list (detections, faces...) may declare.
 constexpr std::uint32_t kMaxListEntries = 1 << 16;
+
+/// Fewest bytes one encoded entry occupies (every string empty): a box is
+/// four f64s; a detection adds a label length, a confidence and a truth
+/// id; a face adds six string lengths and a person id.
+constexpr std::size_t kBoxBytes = 4 * 8;
+constexpr std::size_t kDetectionBytes = kBoxBytes + 4 + 8 + 8;
+constexpr std::size_t kFaceBytes = kBoxBytes + 6 * 4 + 8;
 
 void EncodeBox(const geometry::Box2D& box, WireWriter& out) {
   out.F64(box.x_min);
@@ -46,14 +55,18 @@ bool DecodeDetection(WireReader& in, geometry::Detection& detection) {
          in.F64(detection.confidence) && in.I64(detection.truth_id);
 }
 
-/// Reads a u32 list count and reserves `list` for it; false when the count
-/// is missing or absurd.
+/// Reads a u32 list count and sizes `list` for it; false when the count is
+/// missing, absurd, or more than the remaining bytes can hold at
+/// `entry_bytes` (the entry's minimum encoded size) each.
 template <typename T>
-bool DecodeListCount(WireReader& in, std::vector<T>& list) {
+bool DecodeListCount(WireReader& in, std::vector<T>& list,
+                     std::size_t entry_bytes) {
   std::uint32_t count;
-  if (!in.U32(count) || count > kMaxListEntries) return false;
+  if (!in.U32(count) || count > kMaxListEntries ||
+      count > in.remaining() / entry_bytes) {
+    return false;
+  }
   list.clear();
-  list.reserve(count);
   list.resize(count);
   return true;
 }
@@ -73,7 +86,7 @@ bool DecodeVideo(WireReader& in, video::VideoExample& example) {
   std::uint64_t frame_index;
   if (!in.U64(frame_index) || !in.F64(example.timestamp)) return false;
   example.frame_index = frame_index;
-  if (!DecodeListCount(in, example.detections)) return false;
+  if (!DecodeListCount(in, example.detections, kDetectionBytes)) return false;
   for (geometry::Detection& detection : example.detections) {
     if (!DecodeDetection(in, detection)) return false;
   }
@@ -103,11 +116,11 @@ bool DecodeAv(WireReader& in, av::AvExample& example) {
     return false;
   }
   example.sample_index = sample_index;
-  if (!DecodeListCount(in, example.camera)) return false;
+  if (!DecodeListCount(in, example.camera, kDetectionBytes)) return false;
   for (geometry::Detection& detection : example.camera) {
     if (!DecodeDetection(in, detection)) return false;
   }
-  if (!DecodeListCount(in, example.lidar_projected)) return false;
+  if (!DecodeListCount(in, example.lidar_projected, kBoxBytes)) return false;
   for (geometry::Box2D& box : example.lidar_projected) {
     if (!DecodeBox(in, box)) return false;
   }
@@ -167,7 +180,7 @@ bool DecodeNews(WireReader& in, tvnews::NewsFrame& frame) {
     return false;
   }
   frame.index = index;
-  if (!DecodeListCount(in, frame.faces)) return false;
+  if (!DecodeListCount(in, frame.faces, kFaceBytes)) return false;
   for (tvnews::FaceOutput& face : frame.faces) {
     if (!DecodeFace(in, face)) return false;
   }
@@ -179,9 +192,11 @@ bool DecodeNews(WireReader& in, tvnews::NewsFrame& frame) {
 /// no-intermediate-copies path ObserveBatch consumes directly.
 template <typename T>
 PayloadCodec MakeCodec(void (*encode)(const T&, WireWriter&),
-                       bool (*decode)(WireReader&, T&)) {
+                       bool (*decode)(WireReader&, T&),
+                       std::size_t min_example_bytes) {
   PayloadCodec codec;
   codec.domain = std::string(serve::DomainTraits<T>::kDomain);
+  codec.min_example_bytes = min_example_bytes;
   codec.encode = [encode](const serve::AnyExample& example,
                           WireWriter& out) {
     encode(example.Get<T>(), out);
@@ -216,6 +231,13 @@ serve::Result<std::vector<serve::AnyExample>> DecodeBatch(
                             " examples (limit " +
                             std::to_string(kMaxExamplesPerFrame) + ")"};
   }
+  if (codec.min_example_bytes > 0 &&
+      count > payload.size() / codec.min_example_bytes) {
+    return serve::Error{serve::ErrorCode::kMalformedPayload,
+                        "'" + codec.domain + "' frame claims " +
+                            std::to_string(count) + " examples in " +
+                            std::to_string(payload.size()) + " bytes"};
+  }
   WireReader reader(payload);
   std::vector<serve::AnyExample> batch;
   batch.reserve(count);
@@ -243,10 +265,14 @@ void RegisterDefaultCodecs(serve::DomainRegistry& registry) {
     registry.SetCodec(domain,
                       std::make_shared<const PayloadCodec>(std::move(codec)));
   };
-  install(MakeCodec<video::VideoExample>(&EncodeVideo, &DecodeVideo));
-  install(MakeCodec<av::AvExample>(&EncodeAv, &DecodeAv));
-  install(MakeCodec<ecg::EcgExample>(&EncodeEcg, &DecodeEcg));
-  install(MakeCodec<tvnews::NewsFrame>(&EncodeNews, &DecodeNews));
+  // Minimum example sizes: the fixed fields plus one u32 per string length
+  // and list count.
+  install(MakeCodec<video::VideoExample>(&EncodeVideo, &DecodeVideo,
+                                         8 + 8 + 4));
+  install(MakeCodec<av::AvExample>(&EncodeAv, &DecodeAv, 8 + 8 + 4 + 4 + 4));
+  install(MakeCodec<ecg::EcgExample>(&EncodeEcg, &DecodeEcg, 4 + 8 + 1));
+  install(MakeCodec<tvnews::NewsFrame>(&EncodeNews, &DecodeNews,
+                                       8 + 8 + 8 + 4));
 }
 
 }  // namespace omg::net

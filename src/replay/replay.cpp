@@ -1,6 +1,7 @@
 #include "replay/replay.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -91,6 +92,13 @@ FlagSummary SummariseFlags(
   }
   summary.digest = hash;
   return summary;
+}
+
+std::string DigestHex(std::uint64_t digest) {
+  std::array<char, 17> buffer{};
+  std::snprintf(buffer.data(), buffer.size(), "%016llx",
+                static_cast<unsigned long long>(digest));
+  return buffer.data();
 }
 
 serve::Result<RecordReport> RecordScenarioTrace(

@@ -57,6 +57,10 @@ struct FlagSummary {
 FlagSummary SummariseFlags(
     std::vector<runtime::CollectingSink::OwnedEvent> events);
 
+/// A digest as traces/golden.json and the docs quote it: 16 lowercase hex
+/// digits.
+std::string DigestHex(std::uint64_t digest);
+
 /// What RecordScenarioTrace wrote.
 struct RecordReport {
   std::uint64_t records = 0;

@@ -32,6 +32,7 @@ std::string_view ErrorCodeName(ErrorCode code) {
     case ErrorCode::kUnknownStream: return "unknown_stream";
     case ErrorCode::kQuotaExceeded: return "quota_exceeded";
     case ErrorCode::kIoError: return "io_error";
+    case ErrorCode::kInvariantViolated: return "invariant_violated";
   }
   return "?";
 }

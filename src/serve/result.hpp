@@ -70,6 +70,9 @@ enum class ErrorCode {
 
   /// A file could not be opened, read, or written (trace record/replay).
   kIoError,
+  /// A run broke a checked invariant: an accounting identity did not
+  /// reconcile, or a repeated replay's flag digest diverged.
+  kInvariantViolated,
 };
 
 /// Human-readable code name ("invalid_config", "wrong_domain", ...).

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/table.hpp"
+#include "config/scenario.hpp"
 #include "core/consistency.hpp"
 #include "core/consistency_adapter.hpp"
 #include "serve/domains.hpp"
@@ -28,22 +29,48 @@ std::string DomainTraits<video::VideoExample>::DebugString(
 
 namespace omg::video {
 
+void ReadMultiboxParams(const config::SpecSection& params,
+                        VideoAssertionConfig& config) {
+  config.multibox_iou = params.GetDouble("iou", config.multibox_iou);
+}
+
+void ReadConsistencyParams(const config::SpecSection& params,
+                           VideoAssertionConfig& config) {
+  config.temporal_threshold =
+      params.GetDouble("temporal_threshold", config.temporal_threshold);
+  config.tracker.min_iou =
+      params.GetDouble("tracker_iou", config.tracker.min_iou);
+  config.tracker.max_coast_frames =
+      params.GetSize("tracker_max_misses", config.tracker.max_coast_frames);
+}
+
+VideoAssertionConfig VideoConfigFromSuite(const config::SuiteSpec& suite) {
+  VideoAssertionConfig config;
+  for (const config::AssertionSpec& assertion : suite.assertions) {
+    if (assertion.name == "video.multibox") {
+      ReadMultiboxParams(assertion.params, config);
+    } else if (assertion.name == "video.consistency") {
+      ReadConsistencyParams(assertion.params, config);
+    }
+  }
+  return config;
+}
+
 void RegisterVideoAssertions(
     config::AssertionFactory<VideoExample>& factory) {
-  const VideoAssertionConfig defaults;
-
   factory.Register(
       "video.multibox",
       "three detections should not highly overlap (Figure 7); severity is "
       "the count of mutually-overlapping triples",
       {{"iou", config::ParamType::kDouble, "0.30",
         "pairwise IoU above which boxes count as highly overlapping"}},
-      [defaults](const config::SpecSection& params,
-                 config::AssertionFactory<VideoExample>::BuildContext&
-                     context) {
-        const double iou = params.GetDouble("iou", defaults.multibox_iou);
+      [](const config::SpecSection& params,
+         config::AssertionFactory<VideoExample>::BuildContext& context) {
+        VideoAssertionConfig config;
+        ReadMultiboxParams(params, config);
         context.suite.AddPointwise(
-            "multibox", [iou](const VideoExample& example) {
+            "multibox",
+            [iou = config.multibox_iou](const VideoExample& example) {
               return MultiboxSeverity(example.detections, iou);
             });
       });
@@ -58,19 +85,16 @@ void RegisterVideoAssertions(
         "association IoU of the Id function's tracker"},
        {"tracker_max_misses", config::ParamType::kInt, "2",
         "frames a track coasts unmatched before retiring"}},
-      [defaults](const config::SpecSection& params,
-                 config::AssertionFactory<VideoExample>::BuildContext&
-                     context) {
+      [](const config::SpecSection& params,
+         config::AssertionFactory<VideoExample>::BuildContext& context) {
+        VideoAssertionConfig config;
+        ReadConsistencyParams(params, config);
         core::ConsistencyConfig consistency;
-        consistency.temporal_threshold = params.GetDouble(
-            "temporal_threshold", defaults.temporal_threshold);
-        geometry::TrackerConfig tracker = defaults.tracker;
-        tracker.min_iou = params.GetDouble("tracker_iou", tracker.min_iou);
-        tracker.max_coast_frames =
-            params.GetSize("tracker_max_misses", tracker.max_coast_frames);
+        consistency.temporal_threshold = config.temporal_threshold;
         auto analyzer = core::AddConsistencyAssertion<VideoExample>(
             context.suite, consistency,
-            [tracker](std::span<const VideoExample> examples) {
+            [tracker = config.tracker](
+                std::span<const VideoExample> examples) {
               return ExtractVideoRecords(examples, tracker);
             });
         context.invalidators.push_back(

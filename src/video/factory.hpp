@@ -31,7 +31,24 @@ struct DomainTraits<video::VideoExample> {
 
 }  // namespace omg::serve
 
+namespace omg::config {
+struct SuiteSpec;
+}  // namespace omg::config
+
 namespace omg::video {
+
+/// The one parse of the video parameters: `[assertion video.multibox]`
+/// and `[assertion video.consistency]` sections into `config`. The factory
+/// builders and VideoConfigFromSuite both read through these.
+void ReadMultiboxParams(const config::SpecSection& params,
+                        VideoAssertionConfig& config);
+void ReadConsistencyParams(const config::SpecSection& params,
+                           VideoAssertionConfig& config);
+
+/// The VideoAssertionConfig a declarative video suite describes: what
+/// BuildVideoSuite needs to score exactly like the factory-built suite
+/// (the improvement loop's correction suite, say).
+VideoAssertionConfig VideoConfigFromSuite(const config::SuiteSpec& suite);
 
 /// Registers the night-street assertions:
 ///   * `video.multibox`    { iou }  — the custom triple-overlap assertion

@@ -426,60 +426,81 @@ std::string FlagSequence(runtime::SuiteFactory<Example> bundle_factory,
 }
 
 TEST(ConfigEquivalence, VideoConfigSuiteFlagsIdenticallyToProgrammatic) {
-  // The config mirrors BuildVideoSuite's defaults explicitly.
-  const config::ScenarioSpec scenario =
-      config::ConfigLoader::Load(SpecDocument::Parse(R"(
-[scenario]
-name = equivalence
-[suite video]
-assertions = [video.multibox, video.consistency]
-[assertion video.multibox]
-iou = 0.30
-[assertion video.consistency]
-temporal_threshold = 1.0
-tracker_iou = 0.2
-tracker_max_misses = 2
-[stream fixed]
-domain = video
-)"));
+  // Each parameter set is built twice: by the factory from config text, and
+  // programmatically from VideoConfigFromSuite's parse of the same suite.
+  // The first set spells out BuildVideoSuite's defaults; the second moves
+  // every parameter.
+  video::VideoAssertionConfig moved;
+  moved.multibox_iou = 0.25;
+  moved.temporal_threshold = 0.5;
+  moved.tracker = {0.35, 1};
   config::AssertionFactory<video::VideoExample> factory;
   video::RegisterVideoAssertions(factory);
-
   const std::vector<video::VideoExample> examples = FixedVideoStream();
 
-  // Batch form: identical severity matrices...
-  const runtime::SuiteBundle<video::VideoExample> from_config =
-      config::BuildSuiteBundle(factory, *scenario.SuiteFor("video"));
-  video::VideoSuite programmatic = video::BuildVideoSuite();
-  EXPECT_EQ(from_config.suite->Names(), programmatic.suite.Names());
-  const core::SeverityMatrix config_matrix =
-      from_config.suite->CheckAll(examples);
-  const core::SeverityMatrix programmatic_matrix =
-      programmatic.suite.CheckAll(examples);
-  ASSERT_GT(config_matrix.TotalFired(), 0u);  // the stream must exercise it
-  ASSERT_EQ(config_matrix.num_examples(), programmatic_matrix.num_examples());
-  for (std::size_t e = 0; e < config_matrix.num_examples(); ++e) {
-    for (std::size_t a = 0; a < config_matrix.num_assertions(); ++a) {
-      EXPECT_DOUBLE_EQ(config_matrix.At(e, a), programmatic_matrix.At(e, a));
-    }
-  }
+  std::vector<std::string> flags_per_set;
+  for (const video::VideoAssertionConfig& expected :
+       {video::VideoAssertionConfig{}, moved}) {
+    const std::string params =
+        "[assertion video.multibox]\niou = " +
+        std::to_string(expected.multibox_iou) +
+        "\n[assertion video.consistency]\ntemporal_threshold = " +
+        std::to_string(expected.temporal_threshold) + "\ntracker_iou = " +
+        std::to_string(expected.tracker.min_iou) + "\ntracker_max_misses = " +
+        std::to_string(expected.tracker.max_coast_frames) + "\n";
+    SCOPED_TRACE(params);
+    const config::ScenarioSpec scenario =
+        config::ConfigLoader::Load(SpecDocument::Parse(
+            "[scenario]\nname = equivalence\n[suite video]\n"
+            "assertions = [video.multibox, video.consistency]\n" +
+            params + "[stream fixed]\ndomain = video\n"));
+    const config::SuiteSpec& suite = *scenario.SuiteFor("video");
+    const video::VideoAssertionConfig parsed =
+        video::VideoConfigFromSuite(suite);
+    EXPECT_EQ(parsed.multibox_iou, expected.multibox_iou);
+    EXPECT_EQ(parsed.temporal_threshold, expected.temporal_threshold);
+    EXPECT_EQ(parsed.tracker.min_iou, expected.tracker.min_iou);
+    EXPECT_EQ(parsed.tracker.max_coast_frames,
+              expected.tracker.max_coast_frames);
 
-  // ...and the streaming runtime emits the identical flag sequence.
-  const std::string config_flags = FlagSequence<video::VideoExample>(
-      config::MakeSuiteFactory(factory, *scenario.SuiteFor("video")),
-      examples);
-  const std::string programmatic_flags = FlagSequence<video::VideoExample>(
-      [] {
-        auto built =
-            std::make_shared<video::VideoSuite>(video::BuildVideoSuite());
-        return runtime::SuiteBundle<video::VideoExample>{
-            std::shared_ptr<core::AssertionSuite<video::VideoExample>>(
-                built, &built->suite),
-            [built] { built->consistency->Invalidate(); }};
-      },
-      examples);
-  EXPECT_FALSE(config_flags.empty());
-  EXPECT_EQ(config_flags, programmatic_flags);
+    // Batch form: identical severity matrices...
+    const runtime::SuiteBundle<video::VideoExample> from_config =
+        config::BuildSuiteBundle(factory, suite);
+    video::VideoSuite programmatic = video::BuildVideoSuite(parsed);
+    EXPECT_EQ(from_config.suite->Names(), programmatic.suite.Names());
+    const core::SeverityMatrix config_matrix =
+        from_config.suite->CheckAll(examples);
+    const core::SeverityMatrix programmatic_matrix =
+        programmatic.suite.CheckAll(examples);
+    ASSERT_GT(config_matrix.TotalFired(), 0u);  // the stream must exercise it
+    ASSERT_EQ(config_matrix.num_examples(),
+              programmatic_matrix.num_examples());
+    for (std::size_t e = 0; e < config_matrix.num_examples(); ++e) {
+      for (std::size_t a = 0; a < config_matrix.num_assertions(); ++a) {
+        EXPECT_DOUBLE_EQ(config_matrix.At(e, a),
+                         programmatic_matrix.At(e, a));
+      }
+    }
+
+    // ...and the streaming runtime emits the identical flag sequence.
+    const std::string config_flags = FlagSequence<video::VideoExample>(
+        config::MakeSuiteFactory(factory, suite), examples);
+    const std::string programmatic_flags = FlagSequence<video::VideoExample>(
+        [parsed] {
+          auto built = std::make_shared<video::VideoSuite>(
+              video::BuildVideoSuite(parsed));
+          return runtime::SuiteBundle<video::VideoExample>{
+              std::shared_ptr<core::AssertionSuite<video::VideoExample>>(
+                  built, &built->suite),
+              [built] { built->consistency->Invalidate(); }};
+        },
+        examples);
+    EXPECT_FALSE(config_flags.empty());
+    EXPECT_EQ(config_flags, programmatic_flags);
+    flags_per_set.push_back(config_flags);
+  }
+  // The moved parameters change what fires.
+  EXPECT_NE(flags_per_set.front(), flags_per_set.back());
 }
 
 TEST(ConfigEquivalence, EcgConfigSuiteFlagsIdenticallyToProgrammatic) {

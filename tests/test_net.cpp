@@ -1,6 +1,7 @@
 // The network ingestion front end: wire codec round-trips for all four
 // domains, malformed-frame handling (truncation at every header boundary,
-// CRC corruption, oversized payloads), split-read reassembly, the
+// CRC corruption, oversized payloads, counts the payload cannot hold —
+// bounded with a counting allocator), split-read reassembly, the
 // multi-tenant TCP/UDS server (auth, stream isolation, concurrent quota
 // enforcement), and clean shutdown with in-flight frames (the TSan job
 // runs this binary).
@@ -10,8 +11,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -34,8 +38,54 @@
 #include "tvnews/factory.hpp"
 #include "video/factory.hpp"
 
+// A counting global allocator: while `g_track_allocations` is set it keeps
+// the largest single request, so a test can bound what a decode allocates.
+// The plain and nothrow forms are replaced, all on malloc/free, so
+// sanitizer builds see matching allocation and deallocation functions.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+
+void* CountedAlloc(std::size_t size) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    std::size_t largest = g_largest_allocation.load();
+    while (size > largest &&
+           !g_largest_allocation.compare_exchange_weak(largest, size)) {
+    }
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Not inlined: g++ would otherwise pair the inlined free() with a caller's
+// operator new and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+
 namespace omg::net {
 namespace {
+
+/// The largest single allocation `body` makes.
+template <typename Body>
+std::size_t LargestAllocationDuring(Body&& body) {
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  body();
+  g_track_allocations = false;
+  return g_largest_allocation.load();
+}
 
 // ------------------------------------------------------------------ wire ---
 
@@ -193,6 +243,54 @@ TEST(Codec, RejectsCountMismatchAndTrailingGarbage) {
   payload.push_back(0);
   EXPECT_EQ(DecodeBatch(*codec, payload, 1).error().code,
             serve::ErrorCode::kMalformedPayload);
+}
+
+TEST(Codec, RejectsCountsThePayloadCannotHoldBeforeAllocating) {
+  const serve::DomainRegistry registry = serve::MakeDefaultDomainRegistry();
+  const PayloadCodec* video = registry.CodecFor("video");
+  ASSERT_NE(video, nullptr);
+  // Allocations a rejected decode may make: the error message, a holder
+  // or two — nothing sized by the hostile count.
+  constexpr std::size_t kSmall = 4096;
+
+  // One video example declaring 65,536 detections in a 20-byte payload
+  // (each detection needs at least 52 bytes).
+  WireWriter hostile;
+  hostile.U64(0);
+  hostile.F64(0.0);
+  hostile.U32(1u << 16);
+  ASSERT_EQ(hostile.size(), 20u);
+  const std::size_t largest = LargestAllocationDuring([&] {
+    EXPECT_EQ(DecodeBatch(*video, hostile.bytes(), 1).error().code,
+              serve::ErrorCode::kMalformedPayload);
+  });
+  EXPECT_LT(largest, kSmall);
+
+  // An 8-byte payload whose header claims 2^20 examples (the frame limit).
+  const std::vector<std::uint8_t> eight(8, 0);
+  for (const std::string domain : {"video", "av", "ecg", "tvnews"}) {
+    const PayloadCodec* codec = registry.CodecFor(domain);
+    ASSERT_NE(codec, nullptr);
+    const std::size_t reserved = LargestAllocationDuring([&] {
+      EXPECT_EQ(DecodeBatch(*codec, eight, kMaxExamplesPerFrame).error().code,
+                serve::ErrorCode::kMalformedPayload);
+    });
+    EXPECT_LT(reserved, kSmall) << domain;
+  }
+
+  // Frames at the bound still decode: detections with empty labels are
+  // exactly 52 bytes each, so this payload holds its count exactly.
+  video::VideoExample example;
+  example.detections.assign(3, {geometry::Box2D{}, "", 0.5, 0});
+  std::vector<serve::AnyExample> batch;
+  batch.push_back(serve::AnyExample::Make(std::move(example)));
+  const std::vector<std::uint8_t> exact = EncodeBatch(*video, batch);
+  ASSERT_EQ(exact.size(), 20u + 3 * 52u);
+  const serve::Result<std::vector<serve::AnyExample>> decoded =
+      DecodeBatch(*video, exact, 1);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value()[0].Get<video::VideoExample>().detections.size(),
+            3u);
 }
 
 // -------------------------------------------------------------- assembler ---
